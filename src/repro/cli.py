@@ -513,9 +513,6 @@ def main_repro(argv: list[str] | None = None) -> int:
                       help="partition sizes for every grid cell")
     grid.add_argument("--jobs", type=int, default=1,
                       help="worker processes (results are identical at any jobs)")
-    grid.add_argument("--policy", choices=("dynamic", "static"), default="dynamic",
-                      help="dynamic = longest-expected-first balancing; "
-                           "static = contiguous jobs=N chunks (baseline)")
     grid.add_argument("--backend", choices=("des", "analytic"), default="analytic",
                       help="b_eff engine for the grid's cells")
     grid.add_argument("--T", type=float, default=2.0,
@@ -531,7 +528,7 @@ def main_repro(argv: list[str] | None = None) -> int:
                       help="re-attempts per failed cell before giving up with "
                            f"exit code {EXIT_SWEEP_WORKER_FAILED}")
     grid.add_argument("--journal", metavar="DIR",
-                      help="journal root: every cell is recorded into the "
+                      help="journal root: each cell is recorded, as it lands, into the "
                            "per-(benchmark, machine) sweep journal under it")
     grid.add_argument("--out", metavar="DIR",
                       help="write each cell's envelope as canonical JSON "
@@ -577,7 +574,6 @@ def main_repro(argv: list[str] | None = None) -> int:
             specs,
             jobs=args.jobs,
             store=store,
-            policy=args.policy,
             cost_model=CostModel.calibrate("benchmarks/results"),
             retries=args.retries,
             backoff=args.backoff,

@@ -10,19 +10,22 @@ number — and this package is the one spine both hang on:
   expressed as data over those reducers;
 * :mod:`repro.runtime.spec` — the typed :class:`RunSpec` (machine,
   nprocs, engine mode, fault plan, config fingerprint) that names one
-  benchmark run, and the unified sweep fingerprint;
+  benchmark run, the unified sweep fingerprint and the benchmark
+  adapters;
 * :mod:`repro.runtime.envelope` — the versioned
   :class:`ResultEnvelope` (values + validity + provenance + timings)
   every export and journal record round-trips through;
-* :mod:`repro.runtime.sweep` — the benchmark-agnostic sweep
-  orchestrator: one journal, one retry policy, one worker-error path
-  for both benchmarks;
+* :mod:`repro.runtime.journal` — the crash-safe sweep journal, one
+  directory per (benchmark, machine);
+* :mod:`repro.runtime.sweep` — partition sweeps of one machine (a
+  one-machine grid);
 * :mod:`repro.runtime.store` — the persistent content-addressed
   :class:`RunStore` (fingerprint → verified envelope bytes) that makes
   repeated sweeps free;
-* :mod:`repro.runtime.scheduler` — the machine-zoo grid executor:
-  expansion, in-flight dedupe, store integration and dynamic
-  longest-expected-first dispatch.
+* :mod:`repro.runtime.scheduler` — the one campaign orchestrator:
+  grid expansion, in-flight dedupe, store integration, dynamic
+  longest-expected-first dispatch, retries, per-cell journaling and
+  the supervised executor.
 
 The per-benchmark entry points (``repro.beff.*``, ``repro.beffio.*``)
 remain the public API; they are thin shims over this package.
@@ -58,10 +61,12 @@ from repro.runtime.scheduler import (
     plan_schedule,
     run_grid,
 )
+from repro.runtime.journal import JournalMismatchError, SweepJournal
 from repro.runtime.spec import (
+    BenchmarkAdapter,
     RunSpec,
+    adapter_for,
     cell_fingerprint,
-    legacy_sweep_fingerprint,
     run_spec,
     sweep_fingerprint,
 )
@@ -80,15 +85,7 @@ from repro.runtime.supervisor import (
     backoff_delay,
     supervise,
 )
-from repro.runtime.sweep import (
-    BenchmarkAdapter,
-    JournalMismatchError,
-    SweepJournal,
-    SweepOutcome,
-    SweepWorkerError,
-    adapter_for,
-    run_sweep,
-)
+from repro.runtime.sweep import SweepOutcome, SweepWorkerError, run_sweep
 
 __all__ = [
     "ENVELOPE_SCHEMA",
@@ -108,7 +105,6 @@ __all__ = [
     "RunSpec",
     "run_spec",
     "cell_fingerprint",
-    "legacy_sweep_fingerprint",
     "sweep_fingerprint",
     "RunStore",
     "StoreEntry",

@@ -1,9 +1,9 @@
-"""Dynamic grid scheduler: machine-zoo × benchmark × config × partitions.
+"""The campaign orchestrator: machine-zoo × benchmark × config × partitions.
 
 The paper's whole point is cross-machine characterization — the same
 two benchmarks swept over many machines and partition sizes.  This
 module turns such a grid into :class:`~repro.runtime.spec.RunSpec`
-cells and executes them with three properties a naive
+cells and executes them with the properties a naive
 ``for machine: for nprocs: run()`` loop lacks:
 
 * **Cache integration.**  Cells whose fingerprint is already in a
@@ -18,17 +18,24 @@ cells and executes them with three properties a naive
   the queue by expected cost, so a skewed grid — one 4k-rank cell
   among 16-proc cells — starts its big cell first instead of
   serializing the fleet on whichever static chunk drew it last.
-  :func:`plan_schedule` exposes the exact assignment both policies
-  produce, so the makespan win is a testable property of this module,
-  not a wall-clock accident.
+  :func:`plan_schedule` exposes the assignment (and the static
+  baseline's), so the makespan win is a testable property of this
+  module, not a wall-clock accident.
+* **Crash safety.**  Every cell is stored and journaled the moment it
+  lands; retries, the broken-pool rebuild and the supervised executor
+  all live here.
 
-Workers are processes (the cells are CPU-bound simulations); results
-travel back as envelope dicts and are journaled/stored as they land.
+A partition sweep of one machine is a one-machine grid:
+:func:`repro.runtime.sweep.run_sweep` is a thin wrapper over
+:func:`run_grid`.  Workers are processes (the cells are CPU-bound
+simulations); results travel back as envelope dicts.
 """
 
 from __future__ import annotations
 
 import os
+import pathlib
+import re
 import threading
 import time
 import traceback
@@ -41,7 +48,14 @@ from typing import Any, Callable
 from repro.faults.validity import VALID, RunValidity, merge
 from repro.runtime import chaos
 from repro.runtime.envelope import ResultEnvelope, envelope_for
-from repro.runtime.spec import BenchmarkConfig, RunSpec, run_spec
+from repro.runtime.journal import SweepJournal
+from repro.runtime.spec import (
+    BenchmarkConfig,
+    RunSpec,
+    adapter_for,
+    run_spec,
+    sweep_fingerprint,
+)
 from repro.runtime.store import RunStore, as_store
 from repro.runtime.supervisor import (
     PoisonRecord,
@@ -59,6 +73,7 @@ __all__ = [
     "GridWorkerError",
     "SchedulePlan",
     "SupervisionPolicy",
+    "check_limits",
     "expand_grid",
     "grid_validity",
     "plan_schedule",
@@ -121,7 +136,6 @@ class CostModel:
         """
         import json
         import math
-        import pathlib
 
         path = pathlib.Path(results_dir) / "BENCH_fluid.json"
         try:
@@ -258,6 +272,12 @@ def plan_schedule(
 # grid execution
 # ---------------------------------------------------------------------------
 
+#: test/CI hook: when set to an integer k, the campaign raises right
+#: after storing and journaling its k-th freshly simulated cell —
+#: equivalent (for resume purposes) to killing the process there,
+#: because journal writes are atomic
+CRASH_AFTER_ENV = "REPRO_SWEEP_CRASH_AFTER"
+
 
 @dataclass(frozen=True)
 class GridCell:
@@ -306,13 +326,18 @@ class GridOutcome:
 
 
 class GridWorkerError(RuntimeError):
-    """A grid cell failed after exhausting its retries.
+    """A cell failed after exhausting its retries.
 
-    Besides the worker traceback, the failing cell's full identity —
-    fingerprint, benchmark, machine, nprocs and the attempt count —
-    travels both in the message and as attributes, so an operator (or
-    the service layer) can requeue exactly the cell that died without
-    parsing prose.
+    The one worker error of the campaign: a partition sweep raises it
+    too (``repro.runtime.sweep.SweepWorkerError`` is the same class).
+    The message names the benchmark, the partition size, the machine,
+    the configuration, the fingerprint prefix, the attempt count, the
+    failing source frame and the cause; the original exception is
+    chained as ``__cause__`` and the worker's formatted traceback is
+    kept on ``worker_traceback``.  The identity also travels as
+    attributes (``fingerprint``, ``benchmark``, ``machine``,
+    ``nprocs``, ``attempts``) so a caller can requeue exactly the cell
+    that died without parsing prose.
     """
 
     def __init__(
@@ -334,15 +359,36 @@ class GridWorkerError(RuntimeError):
         self.attempts = attempts
 
 
+def _failure_site(exc: BaseException) -> str:
+    """``file:line in function`` of the deepest frame that raised ``exc``.
+
+    For exceptions re-raised out of a :class:`ProcessPoolExecutor`
+    worker the parent-side traceback only shows executor internals;
+    the worker's real frames travel as a ``_RemoteTraceback`` cause
+    string, so those are parsed in preference.
+    """
+    cause = exc.__cause__
+    if cause is not None and type(cause).__name__ == "_RemoteTraceback":
+        found = re.findall(r'File "([^"]+)", line (\d+), in (\S+)', str(cause))
+        if found:
+            path, line, func = found[-1]
+            return f"{pathlib.Path(path).name}:{line} in {func}"
+    frames = traceback.extract_tb(exc.__traceback__)
+    if not frames:
+        return "no traceback available"
+    last = frames[-1]
+    return f"{pathlib.Path(last.filename).name}:{last.lineno} in {last.name}"
+
+
 class _GridRetry:
     """Attempt counter keyed by (machine, nprocs, benchmark).
 
     The key matters: in a grid, two different machines fail the same
-    partition size independently — pooling their attempts (the old
-    nprocs-only keying of the sweep retry) would exhaust one budget
-    for both.  Between attempts the counter sleeps the same seeded
-    exponential-backoff-with-jitter schedule the supervisor uses, so
-    retry timing is a pure function of the cell fingerprint.
+    partition size independently — pooling their attempts would
+    exhaust one budget for both.  Between attempts the counter sleeps
+    the same seeded exponential-backoff-with-jitter schedule the
+    supervisor uses, so retry timing is a pure function of the cell
+    fingerprint.
     """
 
     def __init__(self, retries: int, backoff: float = 0.0) -> None:
@@ -357,9 +403,11 @@ class _GridRetry:
         fingerprint = spec.fingerprint()
         if n > self.retries:
             raise GridWorkerError(
-                f"grid cell {spec.benchmark} on {spec.machine!r} at "
-                f"nprocs={spec.nprocs} (fingerprint {fingerprint[:12]}) "
-                f"failed after {n} attempt(s): "
+                f"{spec.benchmark} partition nprocs={spec.nprocs} on machine "
+                f"{spec.machine!r} "
+                f"{adapter_for(spec.benchmark).describe_config(spec.config)} "
+                f"(fingerprint {fingerprint[:12]}) "
+                f"failed after {n} attempt(s) at {_failure_site(exc)}: "
                 f"{type(exc).__name__}: {exc}",
                 worker_traceback="".join(
                     traceback.format_exception(type(exc), exc, exc.__traceback__)
@@ -377,7 +425,6 @@ class _GridRetry:
 def _run_cell(benchmark: str, machine: str, nprocs: int, config: Any) -> dict[str, Any]:
     """Worker entry: run one cell, return its envelope as a plain dict."""
     from repro.machines import get_machine
-    from repro.runtime.sweep import adapter_for
 
     chaos.on_cell(chaos.cell_key(benchmark, machine, nprocs))
     result = adapter_for(benchmark).run(get_machine(machine), nprocs, config)
@@ -414,14 +461,55 @@ def _execute(spec: RunSpec) -> ResultEnvelope:
     )
 
 
+def _open_journals(
+    journal_root: "str | os.PathLike[str] | SweepJournal | None",
+    cells: Mapping[str, RunSpec],
+) -> dict[tuple[str, str], SweepJournal]:
+    """The sweep journal every (benchmark, machine) pair records into.
+
+    One :class:`~repro.runtime.journal.SweepJournal` serves every cell
+    as given (its owner — :func:`~repro.runtime.sweep.run_sweep` —
+    has already started or checked it).  A root directory gets one
+    journal per pair under ``<root>/<benchmark>__<machine>``, reopened
+    up front (see :meth:`~repro.runtime.journal.SweepJournal.reopen`:
+    same-sweep partitions kept, another sweep's wiped) so cells can
+    land the moment they finish.
+    """
+    if journal_root is None:
+        return {}
+    groups: dict[tuple[str, str], list[tuple[str, RunSpec]]] = {}
+    for fp, spec in cells.items():
+        groups.setdefault((spec.benchmark, spec.machine), []).append((fp, spec))
+    if isinstance(journal_root, SweepJournal):
+        return {pair: journal_root for pair in groups}
+    root = pathlib.Path(journal_root)
+    journals: dict[tuple[str, str], SweepJournal] = {}
+    for (benchmark, machine), group in sorted(groups.items()):
+        journal = SweepJournal(root / f"{benchmark}__{machine}")
+        journal.reopen(
+            machine,
+            sweep_fingerprint(benchmark, machine, group[0][1].config),
+            {str(spec.nprocs): fp for fp, spec in group},
+        )
+        journals[(benchmark, machine)] = journal
+    return journals
+
+
+def check_limits(jobs: int, retries: int) -> None:
+    """Reject a worker count below 1 or a negative retry budget."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    if retries < 0:
+        raise ValueError("retries must be >= 0")
+
+
 def run_grid(
     specs: Sequence[RunSpec],
     jobs: int = 1,
     store: "RunStore | str | os.PathLike[str] | None" = None,
-    policy: str = "dynamic",
     cost_model: CostModel | None = None,
     retries: int = 0,
-    journal_root: "str | os.PathLike[str] | None" = None,
+    journal_root: "str | os.PathLike[str] | SweepJournal | None" = None,
     backoff: float = 0.0,
     supervision: SupervisionPolicy | None = None,
 ) -> GridOutcome:
@@ -429,87 +517,108 @@ def run_grid(
 
     Identical fingerprints execute once; cells present in ``store``
     are served from it (and count as ``cached``); the rest are
-    dispatched longest-expected-first (``policy="dynamic"``) over
-    ``jobs`` worker processes, or in static contiguous chunks
-    (``policy="static"`` — the baseline, kept for measurement).
+    dispatched longest-expected-first over ``jobs`` worker processes.
+    A failing cell is re-attempted up to ``retries`` times (after a
+    seeded exponential-with-jitter ``backoff``, see
+    :func:`~repro.runtime.supervisor.backoff_delay`) before
+    :class:`GridWorkerError` is raised.  ``jobs`` and ``retries`` are
+    checked by :func:`check_limits`.
 
-    With ``journal_root``, every cell — fresh *or* cache-served — is
-    recorded into the per-(benchmark, machine) sweep journal under
-    that root, so an interrupted grid resumes through the same
-    machinery as a single-machine sweep and cache and journal compose.
+    With ``journal_root`` every cell — fresh *or* cache-served — is
+    recorded into a sweep journal the moment it lands, so a grid that
+    fails or is killed part-way keeps what it completed and resumes
+    through :func:`~repro.runtime.sweep.run_sweep`.  A directory holds
+    one journal per (benchmark, machine) under
+    ``<root>/<benchmark>__<machine>``; a single
+    :class:`~repro.runtime.journal.SweepJournal` takes every cell as-is.
 
-    ``backoff`` seeds the exponential-with-jitter retry delay (see
-    :func:`~repro.runtime.supervisor.backoff_delay`).  ``supervision``
-    switches execution to the supervised path: one killable worker
-    process per attempt with deadlines, heartbeat monitoring and — in
-    place of the abort-on-exhaustion :class:`GridWorkerError` — poison
-    quarantine: the dead cell becomes a
-    :class:`~repro.runtime.supervisor.PoisonRecord` on the outcome (and
-    a stub in the store sidecar and journal), the grid completes, and
-    ``GridOutcome.validity`` reports ``degraded``.
+    ``supervision`` switches execution to the supervised path: one
+    killable worker process per attempt with deadlines, heartbeat
+    monitoring and — in place of the abort-on-exhaustion
+    :class:`GridWorkerError` — poison quarantine: the dead cell becomes
+    a :class:`~repro.runtime.supervisor.PoisonRecord` on the outcome
+    (and a stub in the store sidecar and journal), the grid completes,
+    and ``GridOutcome.validity`` reports ``degraded``.
     """
+    check_limits(jobs, retries)
     run_store = as_store(store)
     model = cost_model if cost_model is not None else CostModel()
     retry = _GridRetry(retries, backoff)
 
     # dedupe identical fingerprints to one execution; remember each
     # fingerprint's first position so later duplicates are labelled
+    fingerprints = [spec.fingerprint() for spec in specs]
     unique: dict[str, RunSpec] = {}
     first_at: dict[str, int] = {}
-    for i, spec in enumerate(specs):
-        fp = spec.fingerprint()
+    for i, (fp, spec) in enumerate(zip(fingerprints, specs)):
         unique.setdefault(fp, spec)
         first_at.setdefault(fp, i)
-    deduped = len(specs) - len(unique)
+    journals = _open_journals(journal_root, unique)
+    crash_text = os.environ.get(CRASH_AFTER_ENV)
+    crash_after = int(crash_text) if crash_text else None
 
-    # serve what the store already has
     envelopes: dict[str, ResultEnvelope] = {}
     sources: dict[str, str] = {}
-    pending: list[RunSpec] = []
+    fresh = 0
+
+    def finish(fp: str, spec: RunSpec, envelope: ResultEnvelope, source: str) -> None:
+        """The one landing point of a cell: outcome, store, journal."""
+        nonlocal fresh
+        envelopes[fp] = envelope
+        sources[fp] = source
+        if source == "fresh" and run_store is not None:
+            run_store.put(fp, envelope)
+        journal = journals.get((spec.benchmark, spec.machine))
+        if journal is not None:
+            journal.record(envelope)
+        if source == "fresh":
+            fresh += 1
+            if crash_after is not None and fresh >= crash_after:
+                raise RuntimeError(
+                    f"injected sweep crash after {fresh} cell(s) "
+                    f"({CRASH_AFTER_ENV}={crash_after})"
+                )
+
+    # serve what the store already has
+    pending: list[tuple[str, RunSpec]] = []
     for fp, spec in unique.items():
         hit = run_store.get(fp) if run_store is not None else None
         if hit is not None:
-            envelopes[fp] = hit
-            sources[fp] = "cache"
+            finish(fp, spec, hit, "cache")
         else:
-            pending.append(spec)
+            pending.append((fp, spec))
 
-    plan = plan_schedule([model.cost(s) for s in pending], jobs, policy)
+    plan = plan_schedule([model.cost(spec) for _, spec in pending], jobs)
     ordered = [pending[i] for i in plan.dispatch]
-    dispatch_order = tuple(s.fingerprint() for s in ordered)
-
-    def finish(spec: RunSpec, envelope: ResultEnvelope) -> None:
-        fp = spec.fingerprint()
-        envelopes[fp] = envelope
-        sources[fp] = "fresh"
-        if run_store is not None:
-            run_store.put(fp, envelope)
 
     poisoned: tuple[PoisonRecord, ...] = ()
     if supervision is not None:
         tasks = [
             SupervisedTask(
-                key=spec.fingerprint(),
+                key=fp,
                 benchmark=spec.benchmark,
                 machine=spec.machine,
                 nprocs=spec.nprocs,
                 config=spec.config,
             )
-            for spec in ordered
+            for fp, spec in ordered
         ]
         outcome = supervise(tasks, supervision, jobs=jobs)
-        for spec in ordered:
-            payload = outcome.results.get(spec.fingerprint())
+        for fp, spec in ordered:
+            payload = outcome.results.get(fp)
             if payload is not None:
-                finish(spec, ResultEnvelope.from_dict(payload))
+                finish(fp, spec, ResultEnvelope.from_dict(payload), "fresh")
         poisoned = outcome.poisoned
-        if run_store is not None:
-            for record in poisoned:
+        for record in poisoned:
+            if run_store is not None:
                 run_store.record_poison(record.key, record.to_dict())
+            journal = journals.get((record.benchmark, record.machine))
+            if journal is not None:
+                journal.record_poison(record)
     elif jobs > 1 and len(ordered) > 1:
-        _run_pool(ordered, plan, jobs, policy, retry, finish)
+        _run_pool(ordered, jobs, retry, finish)
     else:
-        for spec in ordered:
+        for fp, spec in ordered:
             while True:
                 try:
                     envelope = _execute(spec)
@@ -518,164 +627,78 @@ def run_grid(
                 except Exception as exc:  # repro-lint: disable=REPRO005 -- retry.failed re-raises (as GridWorkerError) past the retry limit
                     retry.failed(spec, exc)
                     continue
-                finish(spec, envelope)
+                finish(fp, spec, envelope, "fresh")
                 break
-
-    if journal_root is not None:
-        _journal_cells(journal_root, unique, envelopes, poisoned)
 
     cells = tuple(
         GridCell(
             spec=spec,
-            envelope=envelopes[spec.fingerprint()],
-            source=(
-                sources[spec.fingerprint()]
-                if first_at[spec.fingerprint()] == i
-                else "dedup"
-            ),
+            envelope=envelopes[fp],
+            source=sources[fp] if first_at[fp] == i else "dedup",
         )
-        for i, spec in enumerate(specs)
-        if spec.fingerprint() in envelopes
+        for i, (fp, spec) in enumerate(zip(fingerprints, specs))
+        if fp in envelopes
     )
-    fresh = sum(1 for s in sources.values() if s == "fresh")
-    cached = sum(1 for s in sources.values() if s == "cache")
     return GridOutcome(
         cells=cells,
         fresh=fresh,
-        cached=cached,
-        deduped=deduped,
-        dispatch_order=dispatch_order,
+        cached=sum(1 for s in sources.values() if s == "cache"),
+        deduped=len(specs) - len(unique),
+        dispatch_order=tuple(fp for fp, _ in ordered),
         validity=grid_validity((c.envelope for c in cells), poisoned),
         poisoned=poisoned,
     )
 
 
 def _run_pool(
-    ordered: list[RunSpec],
-    plan: SchedulePlan,
+    ordered: list[tuple[str, RunSpec]],
     jobs: int,
-    policy: str,
     retry: _GridRetry,
-    finish: Callable[[RunSpec, ResultEnvelope], None],
+    finish: Callable[[str, RunSpec, ResultEnvelope, str], None],
 ) -> None:
-    """Fan cells over worker processes following the planned dispatch.
+    """Fan cells over worker processes in the planned dispatch order.
 
-    The dynamic policy submits every cell in longest-first order and
-    lets the pool balance; the static policy submits one serial chunk
-    per worker (the pre-partitioned baseline).  A broken pool (worker
-    killed mid-run) is rebuilt and the unfinished cells resubmitted,
-    each consuming one retry.
+    Finished futures are drained in submission order, so store writes,
+    journal writes and retry accounting are reproducible.  A broken
+    pool (worker killed mid-run) is rebuilt and the unfinished cells
+    resubmitted, each consuming one retry.
     """
     todo = list(ordered)
-    workers = max(1, min(jobs, len(todo)))
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(todo)))
     try:
         while todo:
-            futures: dict[Future[Any], tuple[RunSpec, ...]] = {}
-            if policy == "static" and len(todo) == len(ordered):
-                # initial static submission: one contiguous chunk per
-                # worker, exactly the plan's assignment
-                for chunk in plan.assignments:
-                    batch = tuple(ordered[i] for i in chunk)
-                    if batch:
-                        futures[pool.submit(_run_cell_batch, _ship(batch))] = batch
-            else:
-                for spec in todo:
-                    futures[pool.submit(_run_cell_batch, _ship((spec,)))] = (spec,)
-            broken = False
+            futures: dict[Future[Any], tuple[str, RunSpec]] = {
+                pool.submit(
+                    _run_cell, spec.benchmark, spec.machine, spec.nprocs, spec.config
+                ): (fp, spec)
+                for fp, spec in todo
+            }
             order_of = {fut: i for i, fut in enumerate(futures)}
+            broken = False
             pending_futs = set(futures)
             while pending_futs:
                 finished, pending_futs = wait(pending_futs, return_when=FIRST_COMPLETED)
                 for fut in sorted(finished, key=order_of.__getitem__):
-                    batch = futures[fut]
+                    fp, spec = futures[fut]
                     try:
-                        payloads = fut.result()
+                        payload = fut.result()
                     except BrokenProcessPool as exc:
-                        for spec in batch:
-                            retry.failed(spec, exc)
+                        retry.failed(spec, exc)
                         broken = True
                     except (KeyboardInterrupt, SystemExit):
                         raise
                     except Exception as exc:  # repro-lint: disable=REPRO005 -- retry.failed re-raises (as GridWorkerError) past the retry limit
-                        for spec in batch:
-                            retry.failed(spec, exc)
+                        retry.failed(spec, exc)
                     else:
-                        for spec, payload in zip(batch, payloads):
-                            todo.remove(spec)
-                            finish(spec, ResultEnvelope.from_dict(payload))
+                        todo.remove((fp, spec))
+                        finish(fp, spec, ResultEnvelope.from_dict(payload), "fresh")
                 if broken:
                     break
             if broken and todo:
                 pool.shutdown(wait=False, cancel_futures=True)
-                pool = ProcessPoolExecutor(max_workers=max(1, min(jobs, len(todo))))
+                pool = ProcessPoolExecutor(max_workers=min(jobs, len(todo)))
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _ship(batch: tuple[RunSpec, ...]) -> list[tuple[str, str, int, Any]]:
-    """Picklable form of a batch (specs hold only registry keys)."""
-    return [(s.benchmark, s.machine, s.nprocs, s.config) for s in batch]
-
-
-def _run_cell_batch(cells: list[tuple[str, str, int, Any]]) -> list[dict[str, Any]]:
-    """Worker entry: run a batch of cells serially (static chunks)."""
-    return [_run_cell(*cell) for cell in cells]
-
-
-def _journal_cells(
-    journal_root: "str | os.PathLike[str]",
-    unique: Mapping[str, RunSpec],
-    envelopes: Mapping[str, ResultEnvelope],
-    poisoned: Sequence[PoisonRecord] = (),
-) -> None:
-    """Record every cell into per-(benchmark, machine) sweep journals.
-
-    Cache-served cells are journaled exactly like fresh ones, so a
-    later ``--resume`` of the per-machine sweep replays them — cache
-    and journal compose instead of competing.  Poisoned cells leave a
-    stub (their failure provenance) in place of a partition file; a
-    later run that heals the cell overwrites the stub with the result.
-    """
-    import pathlib
-
-    from repro.reporting.export import write_json_atomic
-    from repro.runtime.envelope import result_from_envelope
-    from repro.runtime.spec import cell_fingerprint, sweep_fingerprint
-    from repro.runtime.sweep import JOURNAL_SCHEMA, SweepJournal
-
-    root = pathlib.Path(journal_root)
-    by_sweep: dict[tuple[str, str], list[RunSpec]] = {}
-    for spec in unique.values():
-        by_sweep.setdefault((spec.benchmark, spec.machine), []).append(spec)
-    poison_by_sweep: dict[tuple[str, str], list[PoisonRecord]] = {}
-    for record in poisoned:
-        poison_by_sweep.setdefault((record.benchmark, record.machine), []).append(record)
-    for (benchmark, machine), cells in sorted(by_sweep.items()):
-        journal = SweepJournal(root / f"{benchmark}__{machine}")
-        journal.path.mkdir(parents=True, exist_ok=True)
-        config = cells[0].config
-        write_json_atomic(
-            journal.manifest_path,
-            {
-                "schema": JOURNAL_SCHEMA,
-                "machine": machine,
-                "fingerprint": sweep_fingerprint(benchmark, machine, config),
-                "cells": {
-                    str(c.nprocs): cell_fingerprint(
-                        benchmark, machine, c.nprocs, config
-                    )
-                    for c in cells
-                },
-            },
-        )
-        for cell in cells:
-            if cell.fingerprint() in envelopes:
-                journal.record(
-                    result_from_envelope(envelopes[cell.fingerprint()]), machine
-                )
-        for record in poison_by_sweep.get((benchmark, machine), []):
-            journal.record_poison(record)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Typed run specifications and the unified config fingerprint.
+"""Typed run specifications, the unified config fingerprint and the
+benchmark adapters.
 
 A :class:`RunSpec` names one benchmark run completely: which
 benchmark, which library machine, how many processes, and the full
@@ -8,7 +9,8 @@ plan).  Its fingerprint — and the sweep-level
 and the fault-plan seed *explicitly* on top of the flattened config,
 so resuming a journal under changed ``--mode``/``--backend`` or a
 different ``--faults`` seed is rejected instead of silently mixing
-results.
+results.  :func:`adapter_for` tells the orchestrator how to run,
+summarise and judge each benchmark.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Union
 
@@ -31,6 +34,116 @@ else:  # the config classes import lazily (they live above this layer)
 
 #: the benchmarks the runtime can drive
 BENCHMARKS = ("b_eff", "b_eff_io")
+
+#: the official minimum scheduled time for b_eff_io (15 minutes)
+OFFICIAL_MINIMUM_T = 900.0
+
+
+# ---------------------------------------------------------------------------
+# benchmark adapters
+# ---------------------------------------------------------------------------
+
+
+def _beff_run(spec: Any, nprocs: int, config: Any) -> Any:
+    return spec.run_beff(nprocs, config)
+
+
+def _beffio_run(spec: Any, nprocs: int, config: Any) -> Any:
+    return spec.run_beffio(nprocs, config)
+
+
+def _beff_default_config() -> Any:
+    from repro.beff.measurement import MeasurementConfig
+
+    return MeasurementConfig()
+
+
+def _beffio_default_config() -> Any:
+    from repro.beffio.benchmark import BeffIOConfig
+
+    return BeffIOConfig()
+
+
+def _beff_value(result: Any) -> float:
+    return float(result.b_eff)
+
+
+def _beffio_value(result: Any) -> float:
+    return float(result.b_eff_io)
+
+
+def _beff_describe(config: Any) -> str:
+    return (
+        f"(backend={config.backend!r}, methods={config.methods}, "
+        f"faults={'yes' if config.faults else 'no'})"
+    )
+
+
+def _beffio_describe(config: Any) -> str:
+    return (
+        f"(T={config.T}, types={config.pattern_types}, mode={config.mode!r}, "
+        f"faults={'yes' if config.faults else 'no'})"
+    )
+
+
+def _beff_official(config: Any) -> bool:
+    # b_eff has no minimum-duration rule; every run counts
+    return True
+
+
+def _beffio_official(config: Any) -> bool:
+    return bool(config.T >= OFFICIAL_MINIMUM_T)
+
+
+@dataclass(frozen=True)
+class BenchmarkAdapter:
+    """How the generic orchestrator drives one benchmark.
+
+    All callables are module-level functions, so adapters (and the
+    worker dispatch by benchmark *name*) survive pickling into
+    worker processes.
+    """
+
+    name: str
+    #: (machine spec, nprocs, config) -> result object
+    run: Callable[[Any, int, Any], Any]
+    default_config: Callable[[], Any]
+    #: the partition's single number (the axis of the system max)
+    value_of: Callable[[Any], float]
+    #: config summary used in worker-failure messages
+    describe_config: Callable[[Any], str]
+    #: does this config satisfy the paper's official-number rule?
+    official_of: Callable[[Any], bool]
+
+
+_ADAPTERS: dict[str, BenchmarkAdapter] = {
+    "b_eff": BenchmarkAdapter(
+        name="b_eff",
+        run=_beff_run,
+        default_config=_beff_default_config,
+        value_of=_beff_value,
+        describe_config=_beff_describe,
+        official_of=_beff_official,
+    ),
+    "b_eff_io": BenchmarkAdapter(
+        name="b_eff_io",
+        run=_beffio_run,
+        default_config=_beffio_default_config,
+        value_of=_beffio_value,
+        describe_config=_beffio_describe,
+        official_of=_beffio_official,
+    ),
+}
+
+
+def adapter_for(benchmark: str) -> BenchmarkAdapter:
+    """The adapter registered for a benchmark name."""
+    try:
+        return _ADAPTERS[benchmark]
+    except KeyError:
+        raise ValueError(
+            f"unknown benchmark {benchmark!r} (known: {sorted(_ADAPTERS)})"
+        ) from None
 
 
 def engine_mode_of(config: "BenchmarkConfig") -> str:
@@ -121,31 +234,9 @@ def sweep_fingerprint(benchmark: str, machine: str, config: "BenchmarkConfig") -
     Delegates to :func:`cell_fingerprint` with the partition axis
     erased (:data:`SWEEP_AXIS`), so the sweep digest and every cell
     digest of that sweep are the same scheme — journal manifests,
-    store keys and resume-rejection all share it.  Journals written
-    under the pre-store layout are still resumable through
-    :func:`legacy_sweep_fingerprint`.
+    store keys and resume-rejection all share it.
     """
     return cell_fingerprint(benchmark, machine, SWEEP_AXIS, config)
-
-
-def legacy_sweep_fingerprint(
-    benchmark: str, machine: str, config: "BenchmarkConfig"
-) -> str:
-    """The pre-store sweep digest (no partition axis in the payload).
-
-    Kept only so schema-1 journals written before the unified keying
-    scheme resume instead of being rejected; new manifests always pin
-    :func:`sweep_fingerprint`.
-    """
-    return _digest(
-        {
-            "benchmark": benchmark,
-            "machine": machine,
-            "engine_mode": engine_mode_of(config),
-            "fault_seed": fault_seed_of(config),
-            "config": _config_dict(config),
-        }
-    )
 
 
 @dataclass(frozen=True)
@@ -199,7 +290,6 @@ class RunSpec:
     def run(self) -> "BeffResult | BeffIOResult":
         """Execute the run and return the benchmark's result object."""
         from repro.machines import get_machine
-        from repro.runtime.sweep import adapter_for
 
         return adapter_for(self.benchmark).run(
             get_machine(self.machine), self.nprocs, self.config

@@ -324,7 +324,7 @@ def _supervised_entry(
 
         from repro.machines import get_machine
         from repro.runtime.envelope import envelope_for
-        from repro.runtime.sweep import adapter_for
+        from repro.runtime.spec import adapter_for
 
         result = adapter_for(benchmark).run(get_machine(machine), nprocs, config)
         payload = chaos.corrupt_payload(

@@ -1,368 +1,66 @@
-"""Benchmark-agnostic sweep orchestrator: one journal, one retry
-policy, one worker-error path for both benchmarks.
+"""Partition sweeps: one benchmark over several partition sizes of one
+machine.
 
-Generalizes the b_eff_io partition sweep (``repro.beffio.sweep`` +
-``journal``, which remain as thin shims) so b_eff sweeps get
-``journal``/``resume``/``retries`` and parallel partitions from the
-same machinery:
-
-* With ``journal=<dir>``, each partition's result envelope is written
-  atomically the moment it completes; ``resume=True`` loads the
-  completed partitions (bit-identically) and runs only the missing
-  ones.  The journal manifest pins :func:`~repro.runtime.spec.
-  sweep_fingerprint`, which hashes the engine mode and fault-plan
-  seed explicitly — resuming under changed flags raises
-  :class:`JournalMismatchError`.
-* A crashed or failing worker is retried up to ``retries`` times;
-  when retries are exhausted the failure surfaces as
-  :class:`SweepWorkerError` carrying the partition's configuration
-  and the worker's traceback.
-* Partitions whose resilient run produced ``nan`` (invalid) are
-  excluded from the system maximum; the sweep's ``validity`` merges
-  the partitions' states.
+The paper defines a system's b_eff_io as the maximum over partitions
+of one machine, and Table 1 reports b_eff the same way.  Such a sweep
+is a one-machine grid, so :func:`run_sweep` is a thin wrapper over
+:func:`repro.runtime.scheduler.run_grid`, which owns store serving,
+dispatch, pool or supervised execution, retries and the per-cell
+journal writes.  This module adds the sweep journal's start, check and
+replay for ``resume=True`` (the journal and the benchmark adapters
+live in :mod:`repro.runtime.journal` and :mod:`repro.runtime.spec`
+and are re-exported here) and the reduction to :class:`SweepOutcome`:
+partitions whose resilient run produced ``nan`` (invalid) are
+excluded from the system maximum, and the sweep's ``validity`` merges
+the partitions' states.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import pathlib
-import re
-import time
-import traceback
-from collections.abc import Callable, Iterable
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
 from repro.faults.validity import VALID, RunValidity, merge
-from repro.runtime import chaos
+from repro.runtime.journal import JOURNAL_SCHEMA, JournalMismatchError, SweepJournal
+from repro.runtime.scheduler import (
+    CRASH_AFTER_ENV,
+    CostModel,
+    GridWorkerError,
+    check_limits,
+    run_grid,
+)
 from repro.runtime.spec import (
+    OFFICIAL_MINIMUM_T,
+    BenchmarkAdapter,
     BenchmarkConfig,
-    cell_fingerprint,
-    legacy_sweep_fingerprint,
+    RunSpec,
+    adapter_for,
     sweep_fingerprint,
 )
-from repro.runtime.supervisor import (
-    PoisonRecord,
-    SupervisedTask,
-    SupervisionPolicy,
-    backoff_delay,
-    supervise,
-)
+from repro.runtime.supervisor import PoisonRecord, SupervisionPolicy
 
-#: the official minimum scheduled time for b_eff_io (15 minutes)
-OFFICIAL_MINIMUM_T = 900.0
+__all__ = [
+    "CRASH_AFTER_ENV",
+    "JOURNAL_SCHEMA",
+    "OFFICIAL_MINIMUM_T",
+    "BenchmarkAdapter",
+    "JournalMismatchError",
+    "SweepJournal",
+    "SweepOutcome",
+    "SweepWorkerError",
+    "adapter_for",
+    "run_sweep",
+]
 
-#: journal layout version — 2 adds the per-cell fingerprint map
-#: (``cells``) that ties each partition file to its store key; schema-1
-#: manifests (pre-store) are still resumable via
-#: :func:`~repro.runtime.spec.legacy_sweep_fingerprint`
-JOURNAL_SCHEMA = 2
-
-#: test/CI hook: when set to an integer k, the sweep parent raises
-#: after journaling its k-th partition — equivalent (for resume
-#: purposes) to killing the process there, because partition writes
-#: are atomic
-CRASH_AFTER_ENV = "REPRO_SWEEP_CRASH_AFTER"
-
-
-class SweepWorkerError(RuntimeError):
-    """A partition run failed after exhausting its retries.
-
-    The message names the machine, the partition size, the cell
-    fingerprint, the attempt count, the configuration that failed
-    *and the failing source frame*; the original exception is chained
-    as ``__cause__`` and the worker's full formatted traceback is kept
-    on ``worker_traceback`` so the CLI's exit-code-3 report can show
-    where the worker died, not just which partition it was running.
-    The identity also travels as attributes (``fingerprint``,
-    ``benchmark``, ``machine``, ``nprocs``, ``attempts``) so callers
-    can requeue the exact cell without parsing prose.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        worker_traceback: str = "",
-        fingerprint: str = "",
-        benchmark: str = "",
-        machine: str = "",
-        nprocs: int = 0,
-        attempts: int = 0,
-    ) -> None:
-        super().__init__(message)
-        self.worker_traceback = worker_traceback
-        self.fingerprint = fingerprint
-        self.benchmark = benchmark
-        self.machine = machine
-        self.nprocs = nprocs
-        self.attempts = attempts
-
-
-class JournalMismatchError(RuntimeError):
-    """Resume attempted against a journal from a different sweep."""
+#: a sweep's worker error is the campaign's one worker error
+SweepWorkerError = GridWorkerError
 
 
 # ---------------------------------------------------------------------------
-# benchmark adapters
-# ---------------------------------------------------------------------------
-
-
-def _beff_run(spec: Any, nprocs: int, config: Any) -> Any:
-    return spec.run_beff(nprocs, config)
-
-
-def _beffio_run(spec: Any, nprocs: int, config: Any) -> Any:
-    return spec.run_beffio(nprocs, config)
-
-
-def _beff_default_config() -> Any:
-    from repro.beff.measurement import MeasurementConfig
-
-    return MeasurementConfig()
-
-
-def _beffio_default_config() -> Any:
-    from repro.beffio.benchmark import BeffIOConfig
-
-    return BeffIOConfig()
-
-
-def _beff_value(result: Any) -> float:
-    return float(result.b_eff)
-
-
-def _beffio_value(result: Any) -> float:
-    return float(result.b_eff_io)
-
-
-def _beff_describe(config: Any) -> str:
-    return (
-        f"(backend={config.backend!r}, methods={config.methods}, "
-        f"faults={'yes' if config.faults else 'no'})"
-    )
-
-
-def _beffio_describe(config: Any) -> str:
-    return (
-        f"(T={config.T}, types={config.pattern_types}, mode={config.mode!r}, "
-        f"faults={'yes' if config.faults else 'no'})"
-    )
-
-
-def _beff_official(config: Any) -> bool:
-    # b_eff has no minimum-duration rule; every run counts
-    return True
-
-
-def _beffio_official(config: Any) -> bool:
-    return bool(config.T >= OFFICIAL_MINIMUM_T)
-
-
-@dataclass(frozen=True)
-class BenchmarkAdapter:
-    """How the generic orchestrator drives one benchmark.
-
-    All callables are module-level functions, so adapters (and the
-    worker dispatch by benchmark *name*) survive pickling into
-    :class:`ProcessPoolExecutor` workers.
-    """
-
-    name: str
-    #: (machine spec, nprocs, config) -> result object
-    run: Callable[[Any, int, Any], Any]
-    default_config: Callable[[], Any]
-    #: the partition's single number (the axis of the system max)
-    value_of: Callable[[Any], float]
-    #: config summary used in worker-failure messages
-    describe_config: Callable[[Any], str]
-    #: does this config satisfy the paper's official-number rule?
-    official_of: Callable[[Any], bool]
-
-
-_ADAPTERS: dict[str, BenchmarkAdapter] = {
-    "b_eff": BenchmarkAdapter(
-        name="b_eff",
-        run=_beff_run,
-        default_config=_beff_default_config,
-        value_of=_beff_value,
-        describe_config=_beff_describe,
-        official_of=_beff_official,
-    ),
-    "b_eff_io": BenchmarkAdapter(
-        name="b_eff_io",
-        run=_beffio_run,
-        default_config=_beffio_default_config,
-        value_of=_beffio_value,
-        describe_config=_beffio_describe,
-        official_of=_beffio_official,
-    ),
-}
-
-
-def adapter_for(benchmark: str) -> BenchmarkAdapter:
-    """The adapter registered for a benchmark name."""
-    try:
-        return _ADAPTERS[benchmark]
-    except KeyError:
-        raise ValueError(
-            f"unknown benchmark {benchmark!r} (known: {sorted(_ADAPTERS)})"
-        ) from None
-
-
-# ---------------------------------------------------------------------------
-# the journal (one implementation for both benchmarks)
-# ---------------------------------------------------------------------------
-
-
-class SweepJournal:
-    """One sweep's on-disk state.
-
-    A journal is a directory: ``manifest.json`` pins the machine and
-    the sweep fingerprint, and each completed partition is one
-    ``partition_<n>.json`` — a result envelope — written atomically
-    (temp file + ``os.replace``) the moment it finishes.  A killed
-    sweep therefore leaves either a complete partition file or none —
-    never a torn one — and ``--resume`` replays the completed
-    partitions bit-identically (JSON float serialization round-trips
-    exactly) while running only the missing ones.
-    """
-
-    def __init__(self, path: str | pathlib.Path) -> None:
-        self.path = pathlib.Path(path)
-
-    @property
-    def manifest_path(self) -> pathlib.Path:
-        return self.path / "manifest.json"
-
-    def partition_path(self, nprocs: int) -> pathlib.Path:
-        return self.path / f"partition_{nprocs}.json"
-
-    def poison_path(self, nprocs: int) -> pathlib.Path:
-        return self.path / f"poison_{nprocs}.json"
-
-    # -- lifecycle -----------------------------------------------------
-
-    def start(
-        self,
-        machine: str,
-        fingerprint: str,
-        cells: dict[str, str] | None = None,
-    ) -> None:
-        """Begin a fresh sweep: wipe stale partitions, pin the manifest.
-
-        ``cells`` (optional) maps partition size (as a string, JSON
-        keys are strings) to that cell's store fingerprint, tying the
-        journal to the content-addressed store keys.
-        """
-        from repro.reporting.export import write_json_atomic
-
-        self.path.mkdir(parents=True, exist_ok=True)
-        for stale in self.path.glob("partition_*.json"):
-            stale.unlink()
-        for stale in self.path.glob("poison_*.json"):
-            stale.unlink()
-        manifest: dict[str, Any] = {
-            "schema": JOURNAL_SCHEMA,
-            "machine": machine,
-            "fingerprint": fingerprint,
-        }
-        if cells is not None:
-            manifest["cells"] = cells
-        write_json_atomic(self.manifest_path, manifest)
-
-    def check(
-        self,
-        machine: str,
-        fingerprint: str,
-        legacy_fingerprint: str | None = None,
-    ) -> None:
-        """Verify this journal belongs to (machine, config) before resuming.
-
-        Schema-1 journals (written before the unified cell keying)
-        pinned a different digest of the *same* payload; they stay
-        resumable when ``legacy_fingerprint`` matches.
-        """
-        if not self.manifest_path.exists():
-            raise JournalMismatchError(
-                f"no journal manifest at {self.manifest_path} — nothing to resume"
-            )
-        manifest = json.loads(self.manifest_path.read_text())
-        schema = manifest.get("schema")
-        if schema == 1 and legacy_fingerprint is not None:
-            expected = legacy_fingerprint
-        elif schema == JOURNAL_SCHEMA:
-            expected = fingerprint
-        else:
-            raise JournalMismatchError(
-                f"journal schema {schema!r} != {JOURNAL_SCHEMA}"
-            )
-        if manifest.get("machine") != machine or manifest.get("fingerprint") != expected:
-            raise JournalMismatchError(
-                f"journal at {self.path} was written by a different sweep "
-                f"(machine {manifest.get('machine')!r}, or the config changed); "
-                "refusing to mix results"
-            )
-
-    # -- partition records ---------------------------------------------
-
-    def record(self, result: Any, machine: str | None = None) -> None:
-        """Atomically persist one completed partition (as an envelope).
-
-        The payload is the *canonical* envelope text (sorted keys) —
-        the same bytes a :class:`~repro.runtime.store.RunStore` entry
-        holds — so a journal written from fresh executions and one
-        written from cache-served results are byte-identical.
-        """
-        from repro.reporting.export import write_json_atomic
-        from repro.runtime.envelope import envelope_for
-        from repro.runtime.store import canonical_envelope_text
-
-        write_json_atomic(
-            self.partition_path(result.nprocs),
-            canonical_envelope_text(envelope_for(result, machine)),
-        )
-        # a completed partition heals any poison stub left by an
-        # earlier supervised run that quarantined this cell
-        self.poison_path(result.nprocs).unlink(missing_ok=True)
-
-    def record_poison(self, record: PoisonRecord) -> None:
-        """Persist a quarantined cell's failure provenance as a stub.
-
-        The stub stands where the partition file would: a resumed
-        sweep sees the partition as *not completed* (so it re-attempts
-        the cell) while the stub documents why the previous run gave
-        up.  :meth:`record` of a later success removes it.
-        """
-        from repro.reporting.export import write_json_atomic
-
-        write_json_atomic(self.poison_path(record.nprocs), record.to_dict())
-
-    def poisoned(self) -> dict[int, PoisonRecord]:
-        """Every active poison stub, keyed by process count."""
-        out: dict[int, PoisonRecord] = {}
-        for path in sorted(self.path.glob("poison_*.json")):
-            record = PoisonRecord.from_dict(json.loads(path.read_text()))
-            out[record.nprocs] = record
-        return out
-
-    def completed(self) -> dict[int, Any]:
-        """Load every journaled partition, keyed by process count."""
-        from repro.runtime.envelope import ResultEnvelope, result_from_envelope
-
-        out: dict[int, Any] = {}
-        for path in sorted(self.path.glob("partition_*.json")):
-            env = ResultEnvelope.from_dict(json.loads(path.read_text()))
-            result = result_from_envelope(env)
-            out[result.nprocs] = result
-        return out
-
-
-# ---------------------------------------------------------------------------
-# the orchestrator
+# the sweep: a one-machine grid
 # ---------------------------------------------------------------------------
 
 
@@ -392,122 +90,38 @@ class SweepOutcome:
         return {r.nprocs: value_of(r) for r in self.results}
 
 
-def _failure_site(exc: BaseException) -> str:
-    """``file:line in function`` of the deepest frame that raised ``exc``.
-
-    For exceptions re-raised out of a :class:`ProcessPoolExecutor`
-    worker the parent-side traceback only shows executor internals;
-    the worker's real frames travel as a ``_RemoteTraceback`` cause
-    string, so those are parsed in preference.
-    """
-    cause = exc.__cause__
-    if cause is not None and type(cause).__name__ == "_RemoteTraceback":
-        found = re.findall(r'File "([^"]+)", line (\d+), in (\S+)', str(cause))
-        if found:
-            path, line, func = found[-1]
-            return f"{pathlib.Path(path).name}:{line} in {func}"
-    frames = traceback.extract_tb(exc.__traceback__)
-    if not frames:
-        return "no traceback available"
-    last = frames[-1]
-    return f"{pathlib.Path(last.filename).name}:{last.lineno} in {last.name}"
-
-
-def _resolve(spec: Any) -> Any:
-    """A machine key resolves through the registry; specs pass through."""
-    if isinstance(spec, str):
-        from repro.machines import get_machine
-
-        return get_machine(spec)
-    return spec
-
-
 def _registry_key(spec: Any) -> str:
-    """Find the registry key of a spec (required to ship it to workers:
-    a :class:`MachineSpec` holds environment-factory closures, so only
-    the key crosses the process boundary)."""
+    """The registry key of a machine (or the key itself).
+
+    Cells are keyed by registry key — store entries, journal manifests
+    and worker processes all name the machine that way, because a
+    :class:`MachineSpec` holds environment-factory closures — so the
+    same sweep hits the same cache entries whichever way the machine
+    was named.  A spec object is accepted only when it equals its
+    registry entry on every field that is not a callable: a modified
+    machine that kept its name would otherwise be measured (and
+    cached) as the stock one.
+    """
+    if isinstance(spec, str):
+        return spec
     from repro.machines import MACHINES
 
+    def data(machine: Any) -> list[Any]:
+        return [v for v in vars(machine).values() if not callable(v)]
+
     for key, factory in MACHINES.items():
-        if factory().name == spec.name:
+        if data(factory()) == data(spec):
             return key
     raise ValueError(
         f"machine {spec.name!r} is not in the registry; pass the machine "
-        "key (a string) to run_sweep for jobs > 1"
+        "key (a string) to run_sweep"
     )
 
 
-def _run_partition(benchmark: str, key: str, nprocs: int, config: Any) -> Any:
-    """Worker entry: rebuild the machine in-process and run one partition."""
-    from repro.machines import get_machine
-
-    chaos.on_cell(chaos.cell_key(benchmark, key, nprocs))
-    return adapter_for(benchmark).run(get_machine(key), nprocs, config)
-
-
-def _describe(adapter: BenchmarkAdapter, machine: str, nprocs: int, config: Any) -> str:
-    return (
-        f"partition nprocs={nprocs} on machine {machine!r} "
-        f"{adapter.describe_config(config)}"
-    )
-
-
-class _Retry:
-    """Per-partition attempt counter shared by both execution paths.
-
-    Attempts key by (machine, nprocs, benchmark) — not nprocs alone —
-    so a counter reused across a grid never pools two machines'
-    failures at the same partition size into one budget.  The delay
-    between attempts is the supervisor's seeded
-    exponential-backoff-with-jitter schedule
-    (:func:`~repro.runtime.supervisor.backoff_delay`, keyed by the
-    cell fingerprint), replacing the old linear ``backoff * n`` —
-    retry timing is now a reproducible function of the run's identity.
-    """
-
-    def __init__(
-        self,
-        adapter: BenchmarkAdapter,
-        machine: str,
-        config: Any,
-        retries: int,
-        backoff: float,
-    ):
-        self.adapter = adapter
-        self.machine = machine
-        self.config = config
-        self.retries = retries
-        self.backoff = backoff
-        self.attempts: dict[tuple[str, int, str], int] = {}
-
-    def failed(
-        self, nprocs: int, exc: BaseException, machine: str | None = None
-    ) -> None:
-        """Count a failure; raise :class:`SweepWorkerError` past the limit."""
-        cell_machine = machine or self.machine
-        key = (cell_machine, nprocs, self.adapter.name)
-        n = self.attempts.get(key, 0) + 1
-        self.attempts[key] = n
-        fingerprint = cell_fingerprint(
-            self.adapter.name, cell_machine, nprocs, self.config
-        )
-        if n > self.retries:
-            raise SweepWorkerError(
-                f"{_describe(self.adapter, self.machine, nprocs, self.config)} "
-                f"(fingerprint {fingerprint[:12]}) "
-                f"failed after {n} attempt(s) at {_failure_site(exc)}: "
-                f"{type(exc).__name__}: {exc}",
-                worker_traceback="".join(
-                    traceback.format_exception(type(exc), exc, exc.__traceback__)
-                ),
-                fingerprint=fingerprint,
-                benchmark=self.adapter.name,
-                machine=cell_machine,
-                nprocs=nprocs,
-                attempts=n,
-            ) from exc
-        if self.backoff > 0:
-            time.sleep(backoff_delay(fingerprint, n, self.backoff))
+#: a sweep dispatches its partitions in ascending order: with the
+#: nprocs exponent at zero every cell of one sweep costs the same, and
+#: :func:`~repro.runtime.scheduler.plan_schedule` breaks ties by position
+_PARTITION_ORDER = CostModel(exponent=0.0)
 
 
 def run_sweep(
@@ -525,164 +139,69 @@ def run_sweep(
 ) -> SweepOutcome:
     """Run one benchmark over several partition sizes of one machine.
 
-    ``spec`` is a :class:`repro.machines.MachineSpec` or a machine
-    registry key; ``partitions`` an iterable of process counts.
-    Returns the per-partition results and the system value (max over
-    partitions that produced a number).
-
-    ``jobs > 1`` runs partitions concurrently in worker processes.
-    Every partition is an independent simulation from a fresh
-    environment, so the results are bit-identical to a serial sweep —
-    the workers only change wall-clock time.
+    ``spec`` is a machine registry key or a registered
+    :class:`repro.machines.MachineSpec`; ``partitions`` an iterable of
+    process counts.  Returns the per-partition results and the system
+    value (max over partitions that produced a number).
 
     ``journal`` (a directory path) makes the sweep crash-safe: each
     partition is persisted atomically when it completes, and
     ``resume=True`` replays completed partitions bit-identically
-    instead of re-running them.  ``retries``/``backoff`` bound how
-    often a crashed or failing partition is re-attempted before
-    :class:`SweepWorkerError` is raised.
+    instead of re-running them.  Every other argument means what it
+    means to :func:`~repro.runtime.scheduler.run_grid`, which runs the
+    partitions still missing: ``jobs`` worker processes (results are
+    bit-identical to a serial sweep), ``retries``/``backoff`` before
+    :class:`SweepWorkerError`, a ``store`` serving partitions it
+    already holds (they are still journaled, so cache and resume
+    compose), and ``supervision`` quarantining exhausted partitions
+    instead of raising: they appear on ``SweepOutcome.poisoned`` (and
+    as journal/store stubs), the surviving partitions still produce
+    the system value, and ``validity`` reports ``degraded``
+    (``invalid`` when nothing survived).
 
-    ``store`` (a :class:`~repro.runtime.store.RunStore` or a path)
-    serves partitions whose fingerprint it already holds — verified,
-    byte-identical, no simulation — and absorbs every fresh result.
-    Store-served partitions are still journaled, so cache and resume
-    compose: a later ``--resume`` replays them like any other.
-
-    ``supervision`` switches the remaining partitions to the
-    supervised executor (one killable worker process per attempt,
-    deadlines, heartbeat monitoring, seeded backoff).  Exhausted cells
-    are then *quarantined* instead of raising: they appear on
-    ``SweepOutcome.poisoned`` (and as journal/store stubs), the
-    surviving partitions still produce the system value, and
-    ``validity`` reports ``degraded`` (``invalid`` when nothing
-    survived).
+    Every result is rebuilt from its cell's result envelope (journal
+    replay, store hit or fresh run alike), so the b_eff fast-forward
+    counters ``ff_loops_armed``/``ff_reps_skipped``, which the
+    envelope does not carry, read 0 on sweep results.
     """
+    from repro.machines import get_machine
+    from repro.runtime.envelope import result_from_envelope
+
     adapter = adapter_for(benchmark)
     partitions = sorted(set(partitions))
     if not partitions:
         raise ValueError("need at least one partition size")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
     if resume and journal is None:
         raise ValueError("resume=True needs a journal")
+    check_limits(jobs, retries)
     if config is None:
         config = adapter.default_config()
-    machine_name = spec if isinstance(spec, str) else spec.name
-
-    from repro.runtime.store import as_store
-
-    run_store = as_store(store)
-    cell_keys = {
-        n: cell_fingerprint(benchmark, machine_name, n, config) for n in partitions
-    }
+    key = _registry_key(spec)
+    machine_name = get_machine(key).name
+    specs = [RunSpec(benchmark, key, n, config) for n in partitions]
 
     jr = SweepJournal(journal) if isinstance(journal, (str, os.PathLike)) else journal
     done: dict[int, Any] = {}
     if jr is not None:
-        fingerprint = sweep_fingerprint(benchmark, machine_name, config)
+        fingerprint = sweep_fingerprint(benchmark, key, config)
         if resume:
-            jr.check(
-                machine_name,
-                fingerprint,
-                legacy_sweep_fingerprint(benchmark, machine_name, config),
-            )
-            # hoisted: a comprehension condition re-evaluates its
-            # expression per row, so build the membership set once
-            wanted = frozenset(partitions)
-            done = {n: r for n, r in jr.completed().items() if n in wanted}
+            jr.check(key, fingerprint)
+            done = {n: r for n, r in jr.completed().items() if n in partitions}
         else:
-            jr.start(
-                machine_name,
-                fingerprint,
-                cells={str(n): fp for n, fp in cell_keys.items()},
-            )
+            jr.start(key, fingerprint, {str(s.nprocs): s.fingerprint() for s in specs})
 
-    crash_after_text = os.environ.get(CRASH_AFTER_ENV)
-    crash_after = int(crash_after_text) if crash_after_text else None
-    fresh = 0
-    cached = 0
-
-    def finish(result: Any) -> None:
-        nonlocal fresh
-        done[result.nprocs] = result
-        if jr is not None:
-            jr.record(result, machine_name)
-        if run_store is not None:
-            from repro.runtime.envelope import envelope_for
-
-            run_store.put(
-                cell_keys[result.nprocs], envelope_for(result, machine_name)
-            )
-        fresh += 1
-        if crash_after is not None and fresh >= crash_after:
-            raise RuntimeError(
-                f"injected sweep crash after {fresh} partition(s) "
-                f"({CRASH_AFTER_ENV}={crash_after})"
-            )
-
-    remaining = [n for n in partitions if n not in done]
-    if run_store is not None and remaining:
-        from repro.runtime.envelope import result_from_envelope
-
-        still: list[int] = []
-        for n in remaining:
-            hit = run_store.get(cell_keys[n])
-            if hit is not None:
-                result = result_from_envelope(hit)
-                done[n] = result
-                if jr is not None:
-                    jr.record(result, machine_name)
-                cached += 1
-            else:
-                still.append(n)
-        remaining = still
-    retry = _Retry(adapter, machine_name, config, retries, backoff)
-    poisoned: tuple[PoisonRecord, ...] = ()
-    if supervision is not None and remaining:
-        from repro.runtime.envelope import ResultEnvelope, result_from_envelope
-
-        key = spec if isinstance(spec, str) else _registry_key(spec)
-        tasks = [
-            SupervisedTask(
-                key=cell_keys[n],
-                benchmark=benchmark,
-                machine=key,
-                nprocs=n,
-                config=config,
-            )
-            for n in remaining
-        ]
-        outcome = supervise(tasks, supervision, jobs=jobs)
-        for n in remaining:
-            payload = outcome.results.get(cell_keys[n])
-            if payload is not None:
-                finish(result_from_envelope(ResultEnvelope.from_dict(payload)))
-        poisoned = outcome.poisoned
-        for record in poisoned:
-            if jr is not None:
-                jr.record_poison(record)
-            if run_store is not None:
-                run_store.record_poison(record.key, record.to_dict())
-        spec = _resolve(spec)
-    elif jobs > 1 and len(remaining) > 1:
-        key = spec if isinstance(spec, str) else _registry_key(spec)
-        _run_parallel(benchmark, key, remaining, config, jobs, retry, finish)
-        spec = _resolve(spec)
-    else:
-        spec = _resolve(spec)
-        for n in remaining:
-            while True:
-                try:
-                    result = adapter.run(spec, n, config)
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception as exc:  # repro-lint: disable=REPRO005 -- retry.failed re-raises (as SweepWorkerError with the captured traceback) past the retry limit
-                    retry.failed(n, exc)
-                    continue
-                finish(result)
-                break
+    grid = run_grid(
+        [s for s in specs if s.nprocs not in done],
+        jobs=jobs,
+        store=store,
+        cost_model=_PARTITION_ORDER,
+        retries=retries,
+        journal_root=jr,
+        backoff=backoff,
+        supervision=supervision,
+    )
+    for cell in grid.cells:
+        done[cell.spec.nprocs] = result_from_envelope(cell.envelope)
 
     results = tuple(done[n] for n in partitions if n in done)
     values = {r.nprocs: adapter.value_of(r) for r in results}
@@ -694,7 +213,7 @@ def run_sweep(
         system = math.nan
         best = partitions[0]
     validity_parts = [r.validity for r in results]
-    for record in poisoned:
+    for record in grid.poisoned:
         validity_parts.append(
             RunValidity(
                 "degraded",
@@ -702,76 +221,24 @@ def run_sweep(
                 reason=f"poisoned after {len(record.attempts)} attempt(s)",
             )
         )
-    if poisoned and not results:
+    if grid.poisoned and not results:
         # nothing survived: there is no system value to quote at all
         validity_parts.append(
             RunValidity(
                 "invalid",
-                skipped=tuple(f"partition:{r.nprocs}" for r in poisoned),
+                skipped=tuple(f"partition:{r.nprocs}" for r in grid.poisoned),
                 reason="every partition was poisoned",
             )
         )
     return SweepOutcome(
         benchmark=benchmark,
-        machine=spec.name if not isinstance(spec, str) else machine_name,
+        machine=machine_name,
         results=results,
         system_value=system,
         best_partition=best,
         official=adapter.official_of(config),
         validity=merge(validity_parts),
-        fresh=fresh,
-        cached=cached,
-        poisoned=poisoned,
+        fresh=grid.fresh,
+        cached=grid.cached,
+        poisoned=grid.poisoned,
     )
-
-
-def _run_parallel(
-    benchmark: str,
-    key: str,
-    remaining: list[int],
-    config: Any,
-    jobs: int,
-    retry: _Retry,
-    finish: Callable[[Any], None],
-) -> None:
-    """Fan partitions over worker processes; journal as each completes.
-
-    A :class:`BrokenProcessPool` (worker killed mid-run) poisons every
-    in-flight future, so the pool is rebuilt and the unfinished
-    partitions resubmitted — each broken partition consumes one retry.
-    """
-    todo = set(remaining)
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(remaining)))
-    try:
-        while todo:
-            futures: dict[Future[Any], int] = {
-                pool.submit(_run_partition, benchmark, key, n, config): n
-                for n in sorted(todo)
-            }
-            broken = False
-            pending = set(futures)
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                # wait() returns a set; drain it in partition order so
-                # journal writes and retry accounting are reproducible
-                for fut in sorted(finished, key=futures.__getitem__):
-                    n = futures[fut]
-                    try:
-                        result = fut.result()
-                    except BrokenProcessPool as exc:
-                        retry.failed(n, exc)
-                        broken = True
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except Exception as exc:  # repro-lint: disable=REPRO005 -- retry.failed re-raises (as SweepWorkerError with the worker's traceback) past the retry limit
-                        retry.failed(n, exc)
-                    else:
-                        todo.discard(n)
-                        finish(result)
-                if broken:
-                    break
-            if broken and todo:
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = ProcessPoolExecutor(max_workers=min(jobs, len(todo)))
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)

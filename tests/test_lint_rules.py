@@ -16,6 +16,7 @@ import pytest
 from repro.devtools.lint import (
     DEFAULT_BASELINE,
     RULES,
+    Baseline,
     LintViolation,
     apply_baseline,
     lint_paths,
@@ -451,11 +452,13 @@ def test_apply_baseline_forgives_up_to_the_recorded_count():
         _violation("a.py", "REPRO001", line=9),
         _violation("b.py", "REPRO003", line=2),
     ]
-    fresh, suppressed = apply_baseline(violations, {"a.py::REPRO001": 1})
+    fresh, suppressed = apply_baseline(
+        violations, Baseline(v2={("REPRO001", "", ""): 1})
+    )
     assert suppressed == 1
     # the earliest line is forgiven first; the later one is new debt
     assert [(v.path, v.line) for v in fresh] == [("a.py", 9), ("b.py", 2)]
-    fresh, suppressed = apply_baseline(violations, {})
+    fresh, suppressed = apply_baseline(violations, Baseline())
     assert (len(fresh), suppressed) == (3, 0)
 
 
@@ -464,7 +467,6 @@ def test_baseline_round_trip(tmp_path):
     write_baseline(target, [_violation("a.py", "REPRO001")] * 2)
     loaded = load_baseline(target)
     assert loaded.v2 == {("REPRO001", "", ""): 2}
-    assert not loaded.legacy
     data = json.loads(target.read_text())
     assert data["version"] == 2
     assert data["entries"] == [
@@ -472,7 +474,7 @@ def test_baseline_round_trip(tmp_path):
          "reason": ""}
     ]
     missing = load_baseline(tmp_path / "missing.json")
-    assert missing.v2 == {} and missing.v1 == {}
+    assert missing.v2 == {}
 
 
 def test_baseline_v2_keys_on_qualname_and_stmt(tmp_path):
@@ -502,17 +504,24 @@ def test_baseline_write_preserves_prior_reasons(tmp_path):
     )
 
 
-def test_baseline_v1_reader_still_applies(tmp_path, capsys):
-    """Legacy per-file baselines load with a deprecation note."""
+@pytest.mark.parametrize("payload", [
+    {"version": 1, "entries": {"a.py::REPRO001": 1}},
+    {"entries": []},
+    [],
+])
+def test_baseline_without_version_2_is_rejected(tmp_path, capsys, payload):
+    """A baseline is outside input: anything but v2 is a usage error."""
+    clean = tmp_path / "clean.py"
+    clean.write_text("x = 1\n")
     target = tmp_path / "baseline.json"
-    target.write_text(json.dumps(
-        {"version": 1, "entries": {"a.py::REPRO001": 1}}
-    ))
-    loaded = load_baseline(target)
-    assert loaded.legacy and loaded.v1 == {"a.py::REPRO001": 1}
-    assert "deprecated" in capsys.readouterr().err
-    fresh, suppressed = apply_baseline([_violation("a.py", "REPRO001")], loaded)
-    assert (fresh, suppressed) == ([], 1)
+    target.write_text(json.dumps(payload))
+    assert main([str(clean), "--baseline", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        f"repro-lint: {target} is not a version-2 baseline; delete it and "
+        "re-record the debt with --write-baseline"
+    ]
 
 
 # -- CLI ----------------------------------------------------------------
@@ -562,14 +571,13 @@ def test_repository_is_lint_clean():
     from repro.devtools.lint import run_engine
 
     baseline = load_baseline(DEFAULT_BASELINE)
-    assert not baseline.legacy
     assert {(rule, qualname) for rule, qualname, _ in baseline.v2} == {
         ("REPRO014", "repro.runtime.store.RunStore._quarantine"),
         ("REPRO014", "repro.runtime.store.RunStore._touch"),
         ("REPRO014", "repro.runtime.store.RunStore.compact"),
         ("REPRO014", "repro.runtime.store.RunStore.total_bytes"),
         ("REPRO015", "repro.runtime.store.RunStore.record_poison"),
-        ("REPRO015", "repro.runtime.sweep.SweepJournal.record_poison"),
+        ("REPRO015", "repro.runtime.journal.SweepJournal.record_poison"),
     }
     assert all(baseline.reasons.get(key) for key in baseline.v2)
     report = run_engine(["src"])

@@ -26,7 +26,6 @@ from repro.runtime import (
     run_spec,
 )
 from repro.runtime.scheduler import _GridRetry, GridWorkerError
-from repro.runtime.sweep import SweepJournal, _Retry, adapter_for
 
 CFG = MeasurementConfig(backend="analytic")
 IO_CFG = BeffIOConfig(T=1.0, pattern_types=(0,))
@@ -185,14 +184,6 @@ class TestRunGrid:
                 b.envelope
             )
 
-    def test_static_policy_matches_dynamic_bit_exactly(self):
-        dynamic = run_grid(self._specs(), jobs=2, policy="dynamic")
-        static = run_grid(self._specs(), jobs=2, policy="static")
-        for a, b in zip(dynamic.cells, static.cells):
-            assert canonical_envelope_text(a.envelope) == canonical_envelope_text(
-                b.envelope
-            )
-
     def test_journal_root_composes_with_sweep_resume(self, tmp_path):
         from repro.runtime.sweep import run_sweep
 
@@ -210,6 +201,74 @@ class TestRunGrid:
             if c.spec.machine == "t3e"
         }
         assert resumed.partition_values() == values
+
+    def test_failed_grid_keeps_its_completed_cells(self, monkeypatch, tmp_path):
+        """Cells are journaled as they land, so a grid that dies part-way
+        resumes through the sweep without re-running what finished."""
+        import repro.runtime.scheduler as scheduler
+        from repro.runtime.sweep import run_sweep
+
+        real = scheduler._execute
+
+        def fail_at_two(spec):
+            if spec.nprocs == 2:
+                raise RuntimeError("cell exploded")
+            return real(spec)
+
+        monkeypatch.setattr(scheduler, "_execute", fail_at_two)
+        root = tmp_path / "journals"
+        specs = expand_grid(["t3e"], ["b_eff"], [2, 4], {"b_eff": CFG})
+        with pytest.raises(GridWorkerError, match="nprocs=2"):
+            run_grid(specs, journal_root=root)
+        jdir = root / "b_eff__t3e"
+        assert (jdir / "partition_4.json").exists()
+        assert (jdir / "manifest.json").exists()
+
+        monkeypatch.setattr(scheduler, "_execute", real)
+        resumed = run_sweep(
+            "b_eff", "t3e", [2, 4], config=CFG, journal=jdir, resume=True
+        )
+        assert resumed.fresh == 1
+        assert sorted(resumed.partition_values()) == [2, 4]
+
+    def test_reused_root_with_changed_config_never_mixes_results(
+        self, monkeypatch, tmp_path
+    ):
+        """A grid that dies part-way into a root written under another
+        config must not leave the old partitions under its manifest."""
+        import repro.runtime.scheduler as scheduler
+        from repro.beff.measurement import METHODS
+        from repro.runtime.sweep import run_sweep
+
+        config_b = MeasurementConfig(backend="analytic", methods=METHODS[:1])
+        root = tmp_path / "journals"
+        run_grid(expand_grid(["t3e"], ["b_eff"], [2, 4], {"b_eff": CFG}),
+                 journal_root=root)
+
+        real = scheduler._execute
+
+        def fail_at_four(spec):
+            if spec.nprocs == 4:
+                raise RuntimeError("cell exploded")
+            return real(spec)
+
+        monkeypatch.setattr(scheduler, "_execute", fail_at_four)
+        with pytest.raises(GridWorkerError, match="nprocs=4"):
+            run_grid(
+                expand_grid(["t3e"], ["b_eff"], [2, 4], {"b_eff": config_b}),
+                journal_root=root,
+            )
+        jdir = root / "b_eff__t3e"
+        landed = sorted(p.name for p in jdir.glob("partition_*.json"))
+        assert "partition_4.json" not in landed
+
+        monkeypatch.setattr(scheduler, "_execute", real)
+        resumed = run_sweep(
+            "b_eff", "t3e", [2, 4], config=config_b, journal=jdir, resume=True
+        )
+        clean = run_sweep("b_eff", "t3e", [2, 4], config=config_b)
+        assert resumed.fresh == 2 - len(landed)
+        assert resumed.partition_values() == clean.partition_values()
 
     def test_mixed_benchmark_grid(self, tmp_path):
         specs = expand_grid(
@@ -234,70 +293,16 @@ class TestRetryKeying:
         with pytest.raises(GridWorkerError, match="t3e"):
             retry.failed(spec_a, boom)  # t3e attempt 2: over budget
 
-    def test_sweep_retry_keys_by_machine_not_nprocs_only(self):
-        """Regression: _Retry pooled attempts by nprocs across machines."""
-        adapter = adapter_for("b_eff")
-        retry = _Retry(adapter, "t3e", CFG, retries=1, backoff=0.0)
-        boom = RuntimeError("boom")
-        retry.failed(2, boom)                      # t3e nprocs=2: attempt 1
-        # under the old nprocs-only keying these would pool into the
-        # t3e counter and raise as "attempt 2" / "attempt 3"
-        retry.failed(2, boom, machine="sr2201")    # sr2201: attempt 1
-        retry.failed(2, boom, machine="sx5")       # sx5: attempt 1
-        from repro.runtime.sweep import SweepWorkerError
-
-        with pytest.raises(SweepWorkerError):
-            retry.failed(2, boom)                  # t3e attempt 2 — over
-
 
 class TestLegacyJournals:
-    def test_schema1_journal_resumes_via_legacy_fingerprint(self, tmp_path):
-        """Journals written before the unified keying stay resumable."""
-        from repro.runtime.spec import legacy_sweep_fingerprint
-        from repro.runtime.sweep import run_sweep
-
-        baseline = run_sweep("b_eff", "t3e", [2, 4], config=CFG)
-        # fabricate a schema-1 journal exactly as PR 5 wrote it
-        jdir = tmp_path / "old-journal"
-        jdir.mkdir()
-        (jdir / "manifest.json").write_text(json.dumps({
-            "schema": 1,
-            "machine": "t3e",
-            "fingerprint": legacy_sweep_fingerprint("b_eff", "t3e", CFG),
-        }))
-        journal = SweepJournal(jdir)
-        for result in baseline.results:
-            journal.record(result, "t3e")
-        resumed = run_sweep(
-            "b_eff", "t3e", [2, 4], config=CFG, journal=jdir, resume=True
-        )
-        assert resumed.fresh == 0
-        assert resumed.system_value == baseline.system_value
-
-    def test_schema1_with_wrong_config_is_rejected(self, tmp_path):
-        from repro.runtime.spec import legacy_sweep_fingerprint
-        from repro.runtime.sweep import JournalMismatchError, run_sweep
-
-        jdir = tmp_path / "old-journal"
-        jdir.mkdir()
-        other = MeasurementConfig(backend="des")
-        (jdir / "manifest.json").write_text(json.dumps({
-            "schema": 1,
-            "machine": "t3e",
-            "fingerprint": legacy_sweep_fingerprint("b_eff", "t3e", other),
-        }))
-        with pytest.raises(JournalMismatchError):
-            run_sweep(
-                "b_eff", "t3e", [2], config=CFG, journal=jdir, resume=True
-            )
-
-    def test_unknown_schema_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize("schema", [1, 7])
+    def test_unknown_schema_is_rejected(self, tmp_path, schema):
         from repro.runtime.sweep import JournalMismatchError, run_sweep
 
         jdir = tmp_path / "journal"
         jdir.mkdir()
         (jdir / "manifest.json").write_text(json.dumps({
-            "schema": 7, "machine": "t3e", "fingerprint": "x",
+            "schema": schema, "machine": "t3e", "fingerprint": "x",
         }))
         with pytest.raises(JournalMismatchError, match="schema"):
             run_sweep(
@@ -369,19 +374,6 @@ class TestWorkerErrorIdentity:
         assert exc.attempts == 1
         assert exc.fingerprint[:12] in str(exc)
         assert "after 1 attempt(s)" in str(exc)
-
-    def test_sweep_worker_error_attributes(self):
-        from repro.runtime.spec import cell_fingerprint
-        from repro.runtime.sweep import SweepWorkerError
-
-        retry = _Retry(adapter_for("b_eff"), "t3e", CFG, retries=0, backoff=0.0)
-        with pytest.raises(SweepWorkerError) as err:
-            retry.failed(4, RuntimeError("boom"))
-        exc = err.value
-        assert exc.fingerprint == cell_fingerprint("b_eff", "t3e", 4, CFG)
-        assert (exc.benchmark, exc.machine, exc.nprocs) == ("b_eff", "t3e", 4)
-        assert exc.attempts == 1
-        assert exc.fingerprint[:12] in str(exc)
 
 
 class TestGridRetryExecution:

@@ -325,6 +325,17 @@ class TestSweepComposition:
             f"partition_{n}.json" for n in PARTS
         ]
 
+    def test_cells_key_by_registry_key_however_the_machine_is_named(self, tmp_path):
+        """A spec object and its registry key hit the same store entries."""
+        from repro.machines import get_machine
+
+        store = RunStore(tmp_path / "store")
+        by_key = run_beff_sweep("t3e", PARTS, CFG, store=store)
+        by_spec = run_beff_sweep(get_machine("t3e"), PARTS, CFG, store=store)
+        assert (by_key.fresh, by_key.cached) == (2, 0)
+        assert (by_spec.fresh, by_spec.cached) == (0, 2)
+        assert by_spec.partition_values() == by_key.partition_values()
+
     def test_manifest_pins_cell_fingerprints(self, tmp_path):
         jdir = tmp_path / "journal"
         run_beff_sweep("t3e", PARTS, CFG, journal=jdir)

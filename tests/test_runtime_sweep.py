@@ -82,6 +82,36 @@ class TestBeffSweep:
         with pytest.raises(ValueError, match="journal"):
             run_beff_sweep("t3e", PARTS, CFG, resume=True)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unregistered_machine_rejected_at_every_jobs(self, jobs):
+        class Homebrew:
+            name = "homebrew cluster"
+
+        with pytest.raises(ValueError, match="not in the registry"):
+            run_beff_sweep(Homebrew(), PARTS, CFG, jobs=jobs)
+
+
+    def test_modified_registry_machine_rejected(self):
+        """A machine that kept its registry name but changed a field is
+        not the registry machine; it must not be measured as one."""
+        import dataclasses
+
+        from repro.machines import get_machine
+
+        t3e = get_machine("t3e")
+        small_pfs = dataclasses.replace(t3e.pfs, cache_bytes=1)
+        with pytest.raises(ValueError, match="not in the registry"):
+            run_beff_sweep(dataclasses.replace(t3e, pfs=small_pfs), PARTS, CFG)
+
+    @pytest.mark.parametrize("limits", [{"jobs": 0}, {"retries": -1}])
+    def test_invalid_limits_leave_the_journal_alone(self, tmp_path, limits):
+        jdir = tmp_path / "journal"
+        run_beff_sweep("t3e", PARTS, CFG, journal=jdir)
+        before = sorted(p.name for p in jdir.iterdir())
+        with pytest.raises(ValueError, match=">= "):
+            run_beff_sweep("t3e", PARTS, CFG, journal=jdir, **limits)
+        assert sorted(p.name for p in jdir.iterdir()) == before
+        assert "partition_4.json" in before
 
 class TestResumeSafety:
     """A journal pins engine mode and fault seed; resume must match."""

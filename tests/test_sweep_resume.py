@@ -7,7 +7,7 @@ import pytest
 
 from repro.beffio import BeffIOConfig
 from repro.beffio.benchmark import BeffIOResult
-from repro.beffio.journal import JournalMismatchError, SweepJournal, config_fingerprint
+import repro.runtime.scheduler as scheduler
 from repro.beffio.sweep import (
     CRASH_AFTER_ENV,
     SweepWorkerError,
@@ -16,9 +16,16 @@ from repro.beffio.sweep import (
 from repro.cli import EXIT_SWEEP_WORKER_FAILED, main_beffio
 from repro.faults import FaultPlan, LinkFault
 from repro.reporting.export import write_json_atomic
+from repro.runtime.envelope import envelope_for
+from repro.runtime.spec import sweep_fingerprint
+from repro.runtime.sweep import JournalMismatchError, SweepJournal
 
 CFG = BeffIOConfig(T=0.8, pattern_types=(0,))
 PARTS = [2, 4]
+
+
+def config_fingerprint(machine, config):
+    return sweep_fingerprint("b_eff_io", machine, config)
 
 
 @pytest.fixture(scope="module")
@@ -118,73 +125,71 @@ def dummy_result(n):
     )
 
 
-class FailingSpec:
-    name = "broken"
-
-    def run_beffio(self, n, config):
-        raise ValueError("kaboom")
+def failing(spec):
+    raise ValueError("kaboom")
 
 
-class FlakySpec:
+class Flaky:
     """Fails the first attempt of every partition, then succeeds."""
-
-    name = "flaky"
 
     def __init__(self):
         self.calls = {}
 
-    def run_beffio(self, n, config):
-        self.calls[n] = self.calls.get(n, 0) + 1
-        if self.calls[n] == 1:
+    def __call__(self, spec):
+        self.calls[spec.nprocs] = self.calls.get(spec.nprocs, 0) + 1
+        if self.calls[spec.nprocs] == 1:
             raise OSError("transient worker crash")
-        return dummy_result(n)
+        return envelope_for(dummy_result(spec.nprocs), machine=spec.machine)
 
 
 class TestRetries:
-    def test_worker_error_names_failing_partition(self):
+    def test_worker_error_names_failing_partition(self, monkeypatch):
+        monkeypatch.setattr(scheduler, "_execute", failing)
         with pytest.raises(SweepWorkerError) as exc_info:
-            run_sweep(FailingSpec(), [2], CFG, retries=1)
+            run_sweep("t3e", [2], CFG, retries=1)
         message = str(exc_info.value)
         assert "partition nprocs=2" in message
-        assert "machine 'broken'" in message
+        assert "machine 't3e'" in message
         assert "T=0.8" in message  # the failing partition's config
         assert "after 2 attempt(s)" in message
         assert "ValueError: kaboom" in message
         assert isinstance(exc_info.value.__cause__, ValueError)
 
-    def test_retry_recovers_transient_failures(self):
-        spec = FlakySpec()
-        sweep = run_sweep(spec, [2, 4], CFG, retries=1)
+    def test_retry_recovers_transient_failures(self, monkeypatch):
+        flaky = Flaky()
+        monkeypatch.setattr(scheduler, "_execute", flaky)
+        sweep = run_sweep("t3e", [2, 4], CFG, retries=1)
         assert sweep.partition_values() == {2: 2.0, 4: 4.0}
-        assert spec.calls == {2: 2, 4: 2}
+        assert flaky.calls == {2: 2, 4: 2}
 
-    def test_zero_retries_fails_on_first_error(self):
-        spec = FlakySpec()
+    def test_zero_retries_fails_on_first_error(self, monkeypatch):
+        monkeypatch.setattr(scheduler, "_execute", Flaky())
         with pytest.raises(SweepWorkerError, match="after 1 attempt"):
-            run_sweep(spec, [2], CFG, retries=0)
+            run_sweep("t3e", [2], CFG, retries=0)
 
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError, match="retries"):
             run_sweep("t3e", PARTS, CFG, retries=-1)
 
-    def test_invalid_partition_excluded_from_system_max(self):
-        class MixedSpec:
-            name = "mixed"
+    def test_invalid_partition_excluded_from_system_max(self, monkeypatch):
+        def mixed(spec):
+            n = spec.nprocs
+            if n == 2:
+                from repro.faults import RunValidity
 
-            def run_beffio(self, n, config):
-                if n == 2:
-                    from repro.faults import RunValidity
+                bad = dummy_result(n)
+                result = BeffIOResult(
+                    nprocs=n, T=bad.T, mpart=bad.mpart,
+                    segment_size=bad.segment_size, pattern_runs=[],
+                    type_results=[], method_values={}, b_eff_io=math.nan,
+                    validity=RunValidity("invalid", skipped=("x",)),
+                )
+            else:
+                result = dummy_result(n)
+            return envelope_for(result, machine=spec.machine)
 
-                    bad = dummy_result(n)
-                    return BeffIOResult(
-                        nprocs=n, T=bad.T, mpart=bad.mpart,
-                        segment_size=bad.segment_size, pattern_runs=[],
-                        type_results=[], method_values={}, b_eff_io=math.nan,
-                        validity=RunValidity("invalid", skipped=("x",)),
-                    )
-                return dummy_result(n)
-
-        sweep = run_sweep(MixedSpec(), [2, 4], CFG)
+        monkeypatch.setattr(scheduler, "_execute", mixed)
+        sweep = run_sweep("t3e", [2, 4], CFG)
         assert sweep.system_b_eff_io == 4.0
         assert sweep.best_partition == 4
         assert sweep.validity.state == "invalid"  # demoted, not poisoned
