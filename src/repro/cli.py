@@ -141,22 +141,32 @@ def _supervision_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _supervision_of(args) -> "object | None":
-    """A SupervisionPolicy when any supervised-execution flag was given."""
-    if (
-        args.deadline is None
-        and args.heartbeat_timeout is None
-        and args.max_failures is None
-    ):
-        return None
+def _supervision_of(parser: argparse.ArgumentParser, args) -> "object | None":
+    """Check the executor flags; a SupervisionPolicy when any
+    supervised-execution flag was given.
+
+    Invalid values are usage errors (exit 2), judged by the same
+    checks the runtime applies: ``check_limits`` and the policy's own
+    validation.
+    """
+    from repro.runtime.scheduler import check_limits
     from repro.runtime.supervisor import SupervisionPolicy
 
-    return SupervisionPolicy(
-        deadline_s=args.deadline,
-        heartbeat_timeout_s=args.heartbeat_timeout,
-        max_failures=args.max_failures if args.max_failures is not None else 3,
-        backoff_base_s=args.backoff,
-    )
+    given = {
+        name: value
+        for name, value in (
+            ("deadline_s", args.deadline),
+            ("heartbeat_timeout_s", args.heartbeat_timeout),
+            ("max_failures", args.max_failures),
+        )
+        if value is not None
+    }
+    try:
+        check_limits(args.jobs, args.retries)
+        policy = SupervisionPolicy(backoff_base_s=args.backoff, **given)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return policy if given else None
 
 
 def _print_poisoned(poisoned) -> None:
@@ -223,7 +233,7 @@ def main_beff(argv: list[str] | None = None) -> int:
         parser.error("--sanitize checks a single partition; drop --partitions")
     if args.cache and not args.partitions:
         parser.error("--cache serves --partitions sweeps; drop it or add --partitions")
-    supervision = _supervision_of(args)
+    supervision = _supervision_of(parser, args)
     if supervision is not None and not args.partitions:
         parser.error("supervised execution needs --partitions")
     spec = _resolve_machine(args)
@@ -343,7 +353,7 @@ def main_beffio(argv: list[str] | None = None) -> int:
         parser.error("--sanitize checks a single partition; drop --partitions")
     if args.cache and not args.partitions:
         parser.error("--cache serves --partitions sweeps; drop it or add --partitions")
-    supervision = _supervision_of(args)
+    supervision = _supervision_of(parser, args)
     if supervision is not None and not args.partitions:
         parser.error("supervised execution needs --partitions")
     spec = _resolve_machine(args)
@@ -540,14 +550,9 @@ def main_repro(argv: list[str] | None = None) -> int:
         if args.action in ("show", "validate") and not args.name:
             scen.error(f"'{args.action}' needs a name argument")
         return _cmd_scenarios(args)
-    supervision = _supervision_of(args)
+    supervision = _supervision_of(grid, args)
 
-    from repro.runtime.scheduler import (
-        CostModel,
-        GridWorkerError,
-        expand_grid,
-        run_grid,
-    )
+    from repro.runtime.scheduler import GridWorkerError, expand_grid, run_grid
 
     machines = sorted(MACHINES) if args.machines == "all" else args.machines.split(",")
     benchmarks = args.benchmarks.split(",")
@@ -574,7 +579,6 @@ def main_repro(argv: list[str] | None = None) -> int:
             specs,
             jobs=args.jobs,
             store=store,
-            cost_model=CostModel.calibrate("benchmarks/results"),
             retries=args.retries,
             backoff=args.backoff,
             journal_root=args.journal,

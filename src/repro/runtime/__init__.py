@@ -79,7 +79,6 @@ from repro.runtime.store import (
 from repro.runtime.supervisor import (
     AttemptFailure,
     PoisonRecord,
-    SupervisedRun,
     SupervisedTask,
     SupervisionPolicy,
     backoff_delay,
@@ -122,7 +121,6 @@ __all__ = [
     "run_grid",
     "AttemptFailure",
     "PoisonRecord",
-    "SupervisedRun",
     "SupervisedTask",
     "SupervisionPolicy",
     "backoff_delay",

@@ -127,8 +127,8 @@ def cell_key(benchmark: str, machine: str, nprocs: int) -> str:
 def on_cell(key: str) -> None:
     """Adversary checkpoint at the start of one cell execution.
 
-    Called by every worker entry (supervised or pooled) with the
-    cell's :func:`cell_key`.  May raise :class:`ChaosError` (poison),
+    Called by :func:`repro.runtime.supervisor.run_cell`, the one cell
+    body, with the cell's :func:`cell_key`.  May raise :class:`ChaosError` (poison),
     hard-exit the process (crash), or never return (hang).
     """
     if not active():

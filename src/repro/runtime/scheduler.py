@@ -14,25 +14,28 @@ cells and executes them with the properties a naive
   :meth:`GridScheduler.submit` — collapse to one execution whose
   result every requester shares.
 * **Dynamic longest-expected-first dispatch.**  A :class:`CostModel`
-  (calibratable from the committed ``BENCH_*.json`` payloads) orders
-  the queue by expected cost, so a skewed grid — one 4k-rank cell
+  orders the queue by expected cost, so a skewed grid — one 4k-rank cell
   among 16-proc cells — starts its big cell first instead of
   serializing the fleet on whichever static chunk drew it last.
   :func:`plan_schedule` exposes the assignment (and the static
   baseline's), so the makespan win is a testable property of this
   module, not a wall-clock accident.
 * **Crash safety.**  Every cell is stored and journaled the moment it
-  lands; retries, the broken-pool rebuild and the supervised executor
-  all live here.
+  lands, whether it ran in-process or in a worker.
 
 A partition sweep of one machine is a one-machine grid:
 :func:`repro.runtime.sweep.run_sweep` is a thin wrapper over
-:func:`run_grid`.  Workers are processes (the cells are CPU-bound
-simulations); results travel back as envelope dicts.
+:func:`run_grid`.  With ``jobs=1`` and no supervision the cells run
+in-process, one after another (the reference path); otherwise they go
+to the one multiprocess executor,
+:func:`repro.runtime.supervisor.supervise`, whose reused worker
+processes send results back as envelope dicts (the cells are
+CPU-bound simulations).
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pathlib
 import re
@@ -40,14 +43,12 @@ import threading
 import time
 import traceback
 from collections.abc import Iterable, Mapping, Sequence
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from repro.faults.validity import VALID, RunValidity, merge
-from repro.runtime import chaos
-from repro.runtime.envelope import ResultEnvelope, envelope_for
+from repro.runtime.envelope import ResultEnvelope
 from repro.runtime.journal import SweepJournal
 from repro.runtime.spec import (
     BenchmarkConfig,
@@ -62,6 +63,7 @@ from repro.runtime.supervisor import (
     SupervisedTask,
     SupervisionPolicy,
     backoff_delay,
+    run_cell,
     supervise,
 )
 
@@ -103,9 +105,7 @@ class CostModel:
 
     The absolute scale is irrelevant — only the *ordering* (and the
     rough ratios, for makespan planning) matter.  ``exponent`` is the
-    nprocs scaling power; :meth:`calibrate` fits it from the committed
-    ``BENCH_fluid.json`` wall-time trajectory when available and falls
-    back to the default otherwise.
+    nprocs scaling power.
     """
 
     exponent: float = 1.4
@@ -123,38 +123,6 @@ class CostModel:
         if scheduled is not None:
             cost *= max(float(scheduled), 1.0)
         return cost
-
-    @classmethod
-    def calibrate(cls, results_dir: "str | os.PathLike[str]") -> "CostModel":
-        """Fit the nprocs exponent from ``BENCH_fluid.json`` rounds.
-
-        The committed payload records incremental-engine wall seconds
-        at several process counts; the log-log slope between the first
-        and last rows is the measured scaling power.  Missing or
-        malformed payloads keep the defaults — calibration is an
-        optimization, never a requirement.
-        """
-        import json
-        import math
-
-        path = pathlib.Path(results_dir) / "BENCH_fluid.json"
-        try:
-            payload = json.loads(path.read_text())
-            rounds = [
-                (float(row["procs"]), float(row["incremental_wall_s"]))
-                for row in payload["rounds"]
-                if row.get("procs") and row.get("incremental_wall_s")
-            ]
-        except (OSError, ValueError, TypeError, KeyError):
-            return cls()
-        rounds.sort()
-        if len(rounds) < 2 or rounds[0][0] == rounds[-1][0]:
-            return cls()
-        (p0, w0), (p1, w1) = rounds[0], rounds[-1]
-        if w0 <= 0 or w1 <= 0:
-            return cls()
-        exponent = math.log(w1 / w0) / math.log(p1 / p0)
-        return cls(exponent=min(max(exponent, 0.5), 3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +174,11 @@ def expand_grid(
 class SchedulePlan:
     """One policy's assignment of cells to workers.
 
-    ``dispatch`` is the order cells enter the pool; ``assignments``
+    ``dispatch`` is the order cells are dispatched; ``assignments``
     maps worker index to its cell list under the model costs;
     ``makespan`` is the modelled finish time of the slowest worker.
     Feeding :func:`plan_schedule` *measured* per-cell costs turns the
-    modelled makespan into the real one a pool with that dispatch
+    modelled makespan into the real one workers fed in that dispatch
     order would achieve — which is how the recorded benchmark proves
     the dynamic policy's win without depending on runner core counts.
     """
@@ -227,8 +195,8 @@ def plan_schedule(
     """Assign cells (given their costs) to ``jobs`` workers.
 
     ``dynamic`` is longest-expected-first with greedy
-    earliest-available-worker dispatch — exactly what feeding a
-    process pool in descending-cost order achieves.  ``static`` is
+    earliest-available-worker dispatch — exactly what feeding
+    worker processes in descending-cost order achieves.  ``static`` is
     the ``jobs=N`` baseline it replaces: contiguous chunks in grid
     order, one chunk per worker, no balancing.  Ties break by cell
     index, so plans are deterministic.
@@ -332,9 +300,10 @@ class GridWorkerError(RuntimeError):
     too (``repro.runtime.sweep.SweepWorkerError`` is the same class).
     The message names the benchmark, the partition size, the machine,
     the configuration, the fingerprint prefix, the attempt count, the
-    failing source frame and the cause; the original exception is
-    chained as ``__cause__`` and the worker's formatted traceback is
-    kept on ``worker_traceback``.  The identity also travels as
+    failing source frame and the cause.  The formatted traceback of the
+    last attempt is kept on ``worker_traceback`` (empty when the worker
+    process died without one); on the in-process path the original
+    exception is also chained as ``__cause__``.  The identity also travels as
     attributes (``fingerprint``, ``benchmark``, ``machine``,
     ``nprocs``, ``attempts``) so a caller can requeue exactly the cell
     that died without parsing prose.
@@ -359,25 +328,35 @@ class GridWorkerError(RuntimeError):
         self.attempts = attempts
 
 
-def _failure_site(exc: BaseException) -> str:
-    """``file:line in function`` of the deepest frame that raised ``exc``.
-
-    For exceptions re-raised out of a :class:`ProcessPoolExecutor`
-    worker the parent-side traceback only shows executor internals;
-    the worker's real frames travel as a ``_RemoteTraceback`` cause
-    string, so those are parsed in preference.
-    """
-    cause = exc.__cause__
-    if cause is not None and type(cause).__name__ == "_RemoteTraceback":
-        found = re.findall(r'File "([^"]+)", line (\d+), in (\S+)', str(cause))
-        if found:
-            path, line, func = found[-1]
-            return f"{pathlib.Path(path).name}:{line} in {func}"
-    frames = traceback.extract_tb(exc.__traceback__)
-    if not frames:
+def _failure_site(worker_traceback: str) -> str:
+    """``file:line in function`` of the deepest frame of a formatted
+    traceback (the last frame printed is the one that raised)."""
+    found = re.findall(r'File "([^"]+)", line (\d+), in (\S+)', worker_traceback)
+    if not found:
         return "no traceback available"
-    last = frames[-1]
-    return f"{pathlib.Path(last.filename).name}:{last.lineno} in {last.name}"
+    path, line, func = found[-1]
+    return f"{pathlib.Path(path).name}:{line} in {func}"
+
+
+def _worker_error(
+    spec: RunSpec, attempts: int, cause: str, worker_traceback: str
+) -> GridWorkerError:
+    """The worker error of ``spec`` after ``attempts`` failed attempts."""
+    fingerprint = spec.fingerprint()
+    return GridWorkerError(
+        f"{spec.benchmark} partition nprocs={spec.nprocs} on machine "
+        f"{spec.machine!r} "
+        f"{adapter_for(spec.benchmark).describe_config(spec.config)} "
+        f"(fingerprint {fingerprint[:12]}) "
+        f"failed after {attempts} attempt(s) at "
+        f"{_failure_site(worker_traceback)}: {cause}",
+        worker_traceback=worker_traceback,
+        fingerprint=fingerprint,
+        benchmark=spec.benchmark,
+        machine=spec.machine,
+        nprocs=spec.nprocs,
+        attempts=attempts,
+    )
 
 
 class _GridRetry:
@@ -400,35 +379,15 @@ class _GridRetry:
         key = (spec.machine, spec.nprocs, spec.benchmark)
         n = self.attempts.get(key, 0) + 1
         self.attempts[key] = n
-        fingerprint = spec.fingerprint()
         if n > self.retries:
-            raise GridWorkerError(
-                f"{spec.benchmark} partition nprocs={spec.nprocs} on machine "
-                f"{spec.machine!r} "
-                f"{adapter_for(spec.benchmark).describe_config(spec.config)} "
-                f"(fingerprint {fingerprint[:12]}) "
-                f"failed after {n} attempt(s) at {_failure_site(exc)}: "
+            raise _worker_error(
+                spec,
+                n,
                 f"{type(exc).__name__}: {exc}",
-                worker_traceback="".join(
-                    traceback.format_exception(type(exc), exc, exc.__traceback__)
-                ),
-                fingerprint=fingerprint,
-                benchmark=spec.benchmark,
-                machine=spec.machine,
-                nprocs=spec.nprocs,
-                attempts=n,
+                "".join(traceback.format_exception(exc)),
             ) from exc
         if self.backoff > 0:
-            time.sleep(backoff_delay(fingerprint, n, self.backoff))
-
-
-def _run_cell(benchmark: str, machine: str, nprocs: int, config: Any) -> dict[str, Any]:
-    """Worker entry: run one cell, return its envelope as a plain dict."""
-    from repro.machines import get_machine
-
-    chaos.on_cell(chaos.cell_key(benchmark, machine, nprocs))
-    result = adapter_for(benchmark).run(get_machine(machine), nprocs, config)
-    return chaos.corrupt_payload(envelope_for(result, machine=machine).to_dict())
+            time.sleep(backoff_delay(spec.fingerprint(), n, self.backoff))
 
 
 def grid_validity(
@@ -457,7 +416,7 @@ def grid_validity(
 def _execute(spec: RunSpec) -> ResultEnvelope:
     """In-process execution of one cell (serial path and submitters)."""
     return ResultEnvelope.from_dict(
-        _run_cell(spec.benchmark, spec.machine, spec.nprocs, spec.config)
+        run_cell(spec.benchmark, spec.machine, spec.nprocs, spec.config)
     )
 
 
@@ -517,12 +476,16 @@ def run_grid(
 
     Identical fingerprints execute once; cells present in ``store``
     are served from it (and count as ``cached``); the rest are
-    dispatched longest-expected-first over ``jobs`` worker processes.
-    A failing cell is re-attempted up to ``retries`` times (after a
-    seeded exponential-with-jitter ``backoff``, see
+    dispatched longest-expected-first.  With ``jobs=1`` and no
+    ``supervision`` they run in-process; otherwise ``jobs`` reused
+    worker processes run them under
+    :func:`~repro.runtime.supervisor.supervise`.  A failing cell is
+    re-attempted up to ``retries`` times (after a seeded
+    exponential-with-jitter ``backoff``, see
     :func:`~repro.runtime.supervisor.backoff_delay`) before
-    :class:`GridWorkerError` is raised.  ``jobs`` and ``retries`` are
-    checked by :func:`check_limits`.
+    :class:`GridWorkerError` is raised and any other running cell is
+    killed.  ``jobs`` and ``retries`` are checked by
+    :func:`check_limits`.
 
     With ``journal_root`` every cell — fresh *or* cache-served — is
     recorded into a sweep journal the moment it lands, so a grid that
@@ -532,18 +495,20 @@ def run_grid(
     ``<root>/<benchmark>__<machine>``; a single
     :class:`~repro.runtime.journal.SweepJournal` takes every cell as-is.
 
-    ``supervision`` switches execution to the supervised path: one
-    killable worker process per attempt with deadlines, heartbeat
-    monitoring and — in place of the abort-on-exhaustion
-    :class:`GridWorkerError` — poison quarantine: the dead cell becomes
-    a :class:`~repro.runtime.supervisor.PoisonRecord` on the outcome
-    (and a stub in the store sidecar and journal), the grid completes,
-    and ``GridOutcome.validity`` reports ``degraded``.
+    ``supervision`` replaces ``retries``/``backoff`` with its own
+    policy: deadlines, heartbeat monitoring and — in place of the
+    abort-on-exhaustion :class:`GridWorkerError` — poison quarantine:
+    the dead cell becomes a
+    :class:`~repro.runtime.supervisor.PoisonRecord` on the outcome (and
+    a stub in the store sidecar and journal, written as it lands), the
+    grid completes, and ``GridOutcome.validity`` reports ``degraded``.
     """
     check_limits(jobs, retries)
+    policy = supervision or SupervisionPolicy(
+        max_failures=retries + 1, backoff_base_s=backoff
+    )
     run_store = as_store(store)
     model = cost_model if cost_model is not None else CostModel()
-    retry = _GridRetry(retries, backoff)
 
     # dedupe identical fingerprints to one execution; remember each
     # fingerprint's first position so later duplicates are labelled
@@ -591,33 +556,9 @@ def run_grid(
     plan = plan_schedule([model.cost(spec) for _, spec in pending], jobs)
     ordered = [pending[i] for i in plan.dispatch]
 
-    poisoned: tuple[PoisonRecord, ...] = ()
-    if supervision is not None:
-        tasks = [
-            SupervisedTask(
-                key=fp,
-                benchmark=spec.benchmark,
-                machine=spec.machine,
-                nprocs=spec.nprocs,
-                config=spec.config,
-            )
-            for fp, spec in ordered
-        ]
-        outcome = supervise(tasks, supervision, jobs=jobs)
-        for fp, spec in ordered:
-            payload = outcome.results.get(fp)
-            if payload is not None:
-                finish(fp, spec, ResultEnvelope.from_dict(payload), "fresh")
-        poisoned = outcome.poisoned
-        for record in poisoned:
-            if run_store is not None:
-                run_store.record_poison(record.key, record.to_dict())
-            journal = journals.get((record.benchmark, record.machine))
-            if journal is not None:
-                journal.record_poison(record)
-    elif jobs > 1 and len(ordered) > 1:
-        _run_pool(ordered, jobs, retry, finish)
-    else:
+    poisoned: list[PoisonRecord] = []
+    if supervision is None and jobs == 1:
+        retry = _GridRetry(retries, backoff)
         for fp, spec in ordered:
             while True:
                 try:
@@ -629,6 +570,34 @@ def run_grid(
                     continue
                 finish(fp, spec, envelope, "fresh")
                 break
+    else:
+        spec_of = dict(ordered)
+        tasks = [
+            SupervisedTask(fp, spec.benchmark, spec.machine, spec.nprocs, spec.config)
+            for fp, spec in ordered
+        ]
+        # closing kills the other workers when a cell aborts the grid
+        with contextlib.closing(supervise(tasks, policy, jobs)) as landed:
+            for item in landed:
+                if not isinstance(item, PoisonRecord):
+                    fp, payload = item
+                    finish(fp, spec_of[fp], ResultEnvelope.from_dict(payload), "fresh")
+                    continue
+                record: PoisonRecord = item
+                if supervision is None:
+                    raise _worker_error(
+                        spec_of[record.key],
+                        len(record.attempts),
+                        record.last.message,
+                        record.last.worker_traceback,
+                    )
+                poisoned.append(record)
+                if run_store is not None:
+                    run_store.record_poison(record.key, record.to_dict())
+                journal = journals.get((record.benchmark, record.machine))
+                if journal is not None:
+                    journal.record_poison(record)
+    poisoned.sort(key=lambda p: (p.benchmark, p.machine, p.nprocs))
 
     cells = tuple(
         GridCell(
@@ -646,59 +615,8 @@ def run_grid(
         deduped=len(specs) - len(unique),
         dispatch_order=tuple(fp for fp, _ in ordered),
         validity=grid_validity((c.envelope for c in cells), poisoned),
-        poisoned=poisoned,
+        poisoned=tuple(poisoned),
     )
-
-
-def _run_pool(
-    ordered: list[tuple[str, RunSpec]],
-    jobs: int,
-    retry: _GridRetry,
-    finish: Callable[[str, RunSpec, ResultEnvelope, str], None],
-) -> None:
-    """Fan cells over worker processes in the planned dispatch order.
-
-    Finished futures are drained in submission order, so store writes,
-    journal writes and retry accounting are reproducible.  A broken
-    pool (worker killed mid-run) is rebuilt and the unfinished cells
-    resubmitted, each consuming one retry.
-    """
-    todo = list(ordered)
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(todo)))
-    try:
-        while todo:
-            futures: dict[Future[Any], tuple[str, RunSpec]] = {
-                pool.submit(
-                    _run_cell, spec.benchmark, spec.machine, spec.nprocs, spec.config
-                ): (fp, spec)
-                for fp, spec in todo
-            }
-            order_of = {fut: i for i, fut in enumerate(futures)}
-            broken = False
-            pending_futs = set(futures)
-            while pending_futs:
-                finished, pending_futs = wait(pending_futs, return_when=FIRST_COMPLETED)
-                for fut in sorted(finished, key=order_of.__getitem__):
-                    fp, spec = futures[fut]
-                    try:
-                        payload = fut.result()
-                    except BrokenProcessPool as exc:
-                        retry.failed(spec, exc)
-                        broken = True
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except Exception as exc:  # repro-lint: disable=REPRO005 -- retry.failed re-raises (as GridWorkerError) past the retry limit
-                        retry.failed(spec, exc)
-                    else:
-                        todo.remove((fp, spec))
-                        finish(fp, spec, ResultEnvelope.from_dict(payload), "fresh")
-                if broken:
-                    break
-            if broken and todo:
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = ProcessPoolExecutor(max_workers=min(jobs, len(todo)))
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------

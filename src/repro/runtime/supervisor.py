@@ -1,28 +1,31 @@
-"""Supervised cell execution: deadlines, heartbeats, seeded backoff,
-poison quarantine.
+"""Supervised cell execution: reused worker processes with deadlines,
+heartbeats, seeded backoff and poison quarantine.
 
-The grid scheduler and the sweep orchestrator retry failing cells, but
-three machine realities defeat plain retries:
+:func:`supervise` is the runtime's one multiprocess executor.  The
+grid orchestrator (:func:`repro.runtime.scheduler.run_grid`) sends it
+every cell that does not run in-process, whether or not the caller
+asked for supervision.  Up to ``jobs`` long-lived worker processes
+take cells over a pipe one after another, so each worker pays the
+first-cell warm-up (lazy imports, per-process caches) once per
+campaign, not once per cell.  Plain retries are not enough for three
+machine realities, and the parent supervises every attempt against
+them:
 
-* a **hung** worker produces neither a result nor an exception — an
-  unsupervised pool waits on it forever;
+* a **hung** worker produces neither a result nor an exception;
 * a worker that is *running* but past any useful wall-clock budget
   starves the rest of the campaign;
-* a **deterministically** failing cell burns its retries and then
-  aborts the whole grid with one exception, throwing away every
-  healthy cell's work.
+* a **deterministically** failing cell burns its retries and would
+  otherwise abort the campaign, throwing away every healthy cell.
 
-This module runs each attempt of a cell in its own killable worker
-process and supervises it from the parent:
+The mechanisms:
 
 * **Deadlines** — a wall-clock budget per attempt
   (:attr:`SupervisionPolicy.deadline_s`); an overrunning worker is
   killed and the attempt counted as ``deadline``.
-* **Heartbeats** — the worker pings its pipe every
-  :attr:`~SupervisionPolicy.heartbeat_interval_s`; silence past
+* **Heartbeats** — while it runs a cell, the worker pings its pipe
+  every :attr:`~SupervisionPolicy.heartbeat_interval_s`; silence past
   :attr:`~SupervisionPolicy.heartbeat_timeout_s` means the worker is
-  wedged before real work started (or its interpreter died without
-  closing the pipe) and it is killed as ``heartbeat-lost``.
+  wedged and it is killed as ``heartbeat-lost``.
 * **Seeded exponential backoff with jitter** — the delay before
   attempt *k* of a cell is :func:`backoff_delay`, derived with
   SplitMix64 from the cell *fingerprint* and the attempt index.  Retry
@@ -30,41 +33,50 @@ process and supervises it from the parent:
   re-executed campaign backs off identically, so "reproducible
   protocol" (Hunold & Carpen-Amarie) extends to the failure path.
 * **Poison quarantine** — after
-  :attr:`~SupervisionPolicy.max_failures` attempts the cell is
-  recorded as a :class:`PoisonRecord` (kind, message and traceback of
-  every attempt) and the campaign *continues*.  The caller degrades
-  the grid's validity instead of aborting it; one poisoned cell no
-  longer costs 27 healthy ones.
+  :attr:`~SupervisionPolicy.max_failures` attempts the cell is yielded
+  as a :class:`PoisonRecord` (kind, message and traceback of every
+  attempt) and the campaign *continues*.  The caller decides what a
+  poisoned cell means: a supervised grid degrades its validity, an
+  unsupervised one raises its worker error.
 
 Attempt failures are classified as ``crash`` (worker exited without a
-result), ``deadline``, ``heartbeat-lost``, ``error`` (worker raised)
+result), ``deadline``, ``heartbeat-lost``, ``error`` (the cell raised)
 or ``corrupt-return`` (the payload does not parse as a result
 envelope), so the quarantine stub says *how* a cell died, not only
-that it did.
+that it did.  An ``error`` leaves its worker in service; any other
+failure kills the worker, and a fresh process takes its place.
+
+Every result and every poison record is yielded the moment it lands,
+so the caller stores and journals each cell while the others run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
+import itertools
 import threading
 import time
 import traceback
 from collections import deque
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from contextlib import AbstractContextManager
+from dataclasses import dataclass
 from multiprocessing import get_context
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as _connection_wait
 from typing import Any
 
+from repro.runtime import chaos
+
 __all__ = [
     "AttemptFailure",
     "FAILURE_KINDS",
     "PoisonRecord",
-    "SupervisedRun",
     "SupervisedTask",
     "SupervisionPolicy",
     "backoff_delay",
+    "run_cell",
     "supervise",
 ]
 
@@ -77,7 +89,7 @@ _MASK64 = (1 << 64) - 1
 def _mix64(seed: int, seq: int) -> int:
     """SplitMix64 avalanche of (seed, seq) — same mix as the engine's
     tie-shuffle keys, reimplemented here so the supervisor stays
-    import-light (workers re-import this module on every attempt)."""
+    import-light (the journal imports it for :class:`PoisonRecord`)."""
     z = (seq + 0x9E3779B97F4A7C15 * (seed + 1)) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -271,79 +283,106 @@ class PoisonRecord:
         )
 
 
-@dataclass(frozen=True)
-class SupervisedRun:
-    """What a supervised campaign produced: payloads and poisons."""
-
-    #: task key -> envelope payload dict (validated to parse)
-    results: dict[str, dict[str, Any]] = field(default_factory=dict)
-    poisoned: tuple[PoisonRecord, ...] = ()
-    #: attempts actually launched (observability / overhead tests)
-    attempts: int = 0
-
-
 # ---------------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------------
 
 
-def _supervised_entry(
-    conn: Connection,
+def run_cell(
     benchmark: str,
     machine: str,
     nprocs: int,
     config: Any,
-    heartbeat_interval_s: float,
-) -> None:
-    """Worker body of one attempt: heartbeat thread + the cell itself.
+    heartbeat: AbstractContextManager[Any] = contextlib.nullcontext(),
+) -> dict[str, Any]:
+    """Run one cell and return its result envelope as a plain dict.
 
-    The chaos checkpoint runs *before* the heartbeat thread starts, so
-    an injected hang is silent from the very first beat — exercising
-    heartbeat-loss detection rather than only the deadline.  (A daemon
-    thread would keep beating through a pure-Python hang: the GIL
-    still timeslices it.)
+    The one cell body, whether the serial grid path runs it in-process
+    or a worker process runs it: chaos checkpoint, benchmark adapter,
+    envelope, chaos payload corruption.  ``heartbeat`` is entered
+    *after* the chaos checkpoint, so an injected hang is silent from
+    the very first beat (exercising heartbeat-loss detection rather
+    than only the deadline), and left once the simulation returns.
     """
-    from repro.runtime import chaos
+    from repro.machines import get_machine
+    from repro.runtime.envelope import envelope_for
+    from repro.runtime.spec import adapter_for
 
-    # the beat thread and the worker body share one pipe: every send
-    # takes this lock so a beat can never interleave a large payload
-    send_lock = threading.Lock()
-    stop = threading.Event()
-    try:
-        chaos.on_cell(chaos.cell_key(benchmark, machine, nprocs))
-
-        def beat() -> None:
-            while not stop.wait(heartbeat_interval_s):
-                try:
-                    with send_lock:
-                        conn.send(("beat",))
-                except (OSError, ValueError):  # repro-lint: disable=REPRO014 -- pipe gone means the supervisor already recorded this attempt; the beat thread just stops
-                    return
-
-        threading.Thread(target=beat, daemon=True).start()
-
-        from repro.machines import get_machine
-        from repro.runtime.envelope import envelope_for
-        from repro.runtime.spec import adapter_for
-
+    chaos.on_cell(chaos.cell_key(benchmark, machine, nprocs))
+    with heartbeat:
         result = adapter_for(benchmark).run(get_machine(machine), nprocs, config)
-        payload = chaos.corrupt_payload(
-            envelope_for(result, machine=machine).to_dict()
+    return chaos.corrupt_payload(envelope_for(result, machine=machine).to_dict())
+
+
+@contextlib.contextmanager
+def _heartbeat(
+    conn: Connection, send_lock: threading.Lock, interval_s: float
+) -> Iterator[None]:
+    """Ping ``conn`` every ``interval_s`` seconds from a thread while entered.
+
+    (A daemon thread keeps beating through a pure-Python busy loop: the
+    GIL still timeslices it.  Only a process that stopped running
+    Python goes silent.)
+    """
+    stop = threading.Event()
+
+    def beat() -> None:
+        while not stop.wait(interval_s):
+            try:
+                with send_lock:
+                    conn.send(("beat",))
+            except (OSError, ValueError):  # repro-lint: disable=REPRO014 -- pipe gone means the supervisor already recorded this attempt; the beat thread just stops
+                return
+
+    thread = threading.Thread(target=beat, daemon=True)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join()
+
+
+def _worker(
+    conn: Connection, parent_end: Connection, heartbeat_interval_s: float | None
+) -> None:
+    """Worker process body: run the cells the supervisor sends, one by one.
+
+    Each message is a ``(benchmark, machine, nprocs, config)`` cell;
+    ``None`` (or the supervisor going away) ends the process.  A cell
+    that raises is reported as ``("err", ...)`` and the worker stays in
+    service; the supervisor kills it for any other failure.  With a
+    heartbeat interval each cell beats over the same pipe while it
+    runs, and every send takes ``send_lock`` so a beat can never
+    interleave a large result payload.
+    """
+    # the inherited copy of the supervisor's end would keep this pipe
+    # open forever: closing it lets the worker see EOF if the
+    # supervisor dies without saying goodbye
+    parent_end.close()
+    send_lock = threading.Lock()
+    while True:
+        try:
+            cell = conn.recv()
+        except (EOFError, OSError):  # repro-lint: disable=REPRO014 -- the supervisor is gone; nobody is left to serve
+            return
+        if cell is None:
+            return
+        beat: AbstractContextManager[Any] = (
+            contextlib.nullcontext()
+            if heartbeat_interval_s is None
+            else _heartbeat(conn, send_lock, heartbeat_interval_s)
         )
-        stop.set()
-        with send_lock:
-            conn.send(("ok", payload))
-    except BaseException as exc:  # repro-lint: disable=REPRO005 -- the failure is shipped to the supervising parent, which records it as an AttemptFailure
-        stop.set()
+        message: tuple[Any, ...]
+        try:
+            message = ("ok", run_cell(*cell, heartbeat=beat))
+        except Exception as exc:  # repro-lint: disable=REPRO005 -- the failure is shipped to the supervisor, which records it as an AttemptFailure
+            message = ("err", type(exc).__name__, str(exc), traceback.format_exc())
         try:
             with send_lock:
-                conn.send(
-                    ("err", type(exc).__name__, str(exc), traceback.format_exc())
-                )
-        except (OSError, ValueError):  # repro-lint: disable=REPRO014 -- pipe gone: the supervisor sees EOF and records a crash failure instead
-            pass
-    finally:
-        conn.close()
+                conn.send(message)
+        except (OSError, ValueError):  # repro-lint: disable=REPRO014 -- the supervisor is gone; nobody is left to serve
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -362,19 +401,40 @@ def _now() -> float:
 
 
 class _Worker:
-    """Parent-side state of one in-flight attempt."""
+    """Parent-side handle of one worker process and its current attempt."""
 
-    __slots__ = ("task", "attempt", "process", "conn", "started", "last_beat")
+    __slots__ = ("process", "conn", "task", "started", "last_beat")
 
-    def __init__(
-        self, task: SupervisedTask, attempt: int, process: Any, conn: Connection
-    ) -> None:
-        self.task = task
-        self.attempt = attempt
+    def __init__(self, process: Any, conn: Connection) -> None:
         self.process = process
         self.conn = conn
-        self.started = _now()
-        self.last_beat = self.started
+        self.task: SupervisedTask  # set by every assign before use
+        self.started = self.last_beat = 0.0
+
+    def assign(self, task: SupervisedTask) -> None:
+        self.task = task
+        self.started = self.last_beat = _now()
+        try:
+            self.conn.send((task.benchmark, task.machine, task.nprocs, task.config))
+        except (OSError, ValueError):  # repro-lint: disable=REPRO014 -- a worker that died while idle is reported as a crash by its sentinel
+            pass
+
+    def retire(self, kill: bool) -> None:
+        """End the process: an idle worker is asked to exit, a busy or
+        suspect one is killed."""
+        if kill:
+            self.process.kill()
+        else:
+            try:
+                self.conn.send(None)
+            except (OSError, ValueError):  # repro-lint: disable=REPRO014 -- already gone; the join below reaps it
+                pass
+        self.process.join(timeout=5.0)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join(timeout=5.0)
+        self.conn.close()
+        self.process.close()
 
 
 def _validate_payload(payload: Any) -> str | None:
@@ -390,223 +450,192 @@ def _validate_payload(payload: Any) -> str | None:
     return None
 
 
+def _outcome(
+    worker: _Worker, policy: SupervisionPolicy
+) -> dict[str, Any] | AttemptFailure | None:
+    """What became of ``worker``'s attempt: its payload, its failure,
+    or ``None`` while it is still running within its budgets."""
+    now = _now()
+    elapsed = now - worker.started
+    eof = False
+    try:
+        while worker.conn.poll():
+            message = worker.conn.recv()
+            if message[0] == "beat":
+                worker.last_beat = now
+            elif message[0] == "ok":
+                problem = _validate_payload(message[1])
+                if problem is None:
+                    return message[1]
+                return AttemptFailure(
+                    kind="corrupt-return", message=problem, elapsed_s=elapsed
+                )
+            else:  # ("err", type-name, message, traceback)
+                return AttemptFailure(
+                    kind="error",
+                    message=f"{message[1]}: {message[2]}",
+                    worker_traceback=message[3],
+                    elapsed_s=elapsed,
+                )
+    except (EOFError, OSError):
+        eof = True
+    if eof or not worker.process.is_alive():
+        worker.process.join(timeout=5.0)
+        return AttemptFailure(
+            kind="crash",
+            message=(
+                f"worker exited with code {worker.process.exitcode} before "
+                "returning a result"
+            ),
+            elapsed_s=elapsed,
+        )
+    if policy.deadline_s is not None and elapsed > policy.deadline_s:
+        return AttemptFailure(
+            kind="deadline",
+            message=f"attempt exceeded its {policy.deadline_s:g}s wall-clock deadline",
+            elapsed_s=elapsed,
+        )
+    if (
+        policy.heartbeat_timeout_s is not None
+        and now - worker.last_beat > policy.heartbeat_timeout_s
+    ):
+        # the message lands in exported result trees, so it must not
+        # embed the measured (wall-clock) silence; elapsed_s carries
+        # the timing for local diagnostics
+        return AttemptFailure(
+            kind="heartbeat-lost",
+            message=(
+                "heartbeat silence exceeded the "
+                f"{policy.heartbeat_timeout_s:g}s threshold"
+            ),
+            elapsed_s=elapsed,
+        )
+    return None
+
+
 def supervise(
     tasks: Sequence[SupervisedTask],
     policy: SupervisionPolicy,
     jobs: int = 1,
-) -> SupervisedRun:
+) -> Iterator[tuple[str, dict[str, Any]] | PoisonRecord]:
     """Run every task to completion or quarantine; always terminates.
 
-    Up to ``jobs`` attempts run concurrently, each in its own process.
-    The wall-clock bound is structural: every attempt either returns,
-    raises, or is killed at its deadline/heartbeat threshold, and each
-    cell gets at most ``policy.max_failures`` attempts — so the whole
-    campaign finishes within roughly
-    ``ceil(cells / jobs) * max_failures * (deadline + backoff_cap)``
-    regardless of what the workers do.
+    Yields ``(task.key, payload)`` for each cell the moment its
+    validated envelope payload lands, and its :class:`PoisonRecord`
+    the moment a cell exhausts ``policy.max_failures`` attempts, so
+    the caller can store, journal or abort per cell.  Closing the
+    generator early kills every worker.
+
+    Up to ``jobs`` long-lived worker processes (started on demand)
+    take the cells one after another.  The wall-clock bound is
+    structural: every attempt either returns, raises, or is killed at
+    its deadline/heartbeat threshold, and each cell gets at most
+    ``policy.max_failures`` attempts — so the whole campaign finishes
+    within roughly ``ceil(cells / jobs) * max_failures * (deadline +
+    backoff_cap)`` regardless of what the workers do.  The arguments
+    are checked before the generator is returned.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     seen: set[str] = set()
-    queue: deque[tuple[SupervisedTask, int]] = deque()
     for task in tasks:
         if task.key in seen:
             raise ValueError(f"duplicate supervised task key {task.key!r}")
         seen.add(task.key)
-        queue.append((task, 1))
+    return _supervised(list(tasks), policy, jobs)
 
+
+def _supervised(
+    tasks: list[SupervisedTask], policy: SupervisionPolicy, jobs: int
+) -> Iterator[tuple[str, dict[str, Any]] | PoisonRecord]:
+    """The supervision loop behind :func:`supervise`."""
     ctx = get_context()
-    #: (ready_at, tie, task, attempt) — retries waiting out their backoff
-    delayed: list[tuple[float, int, SupervisedTask, int]] = []
-    tie = 0
-    running: list[_Worker] = []
-    results: dict[str, dict[str, Any]] = {}
+    # beats only pay off when someone listens for their absence
+    interval = (
+        policy.heartbeat_interval_s if policy.heartbeat_timeout_s is not None else None
+    )
+    queue: deque[SupervisedTask] = deque(tasks)
+    #: (ready_at, tie, task) — retries waiting out their backoff
+    delayed: list[tuple[float, int, SupervisedTask]] = []
+    tie = itertools.count()
     history: dict[str, list[AttemptFailure]] = {}
-    poisons: list[PoisonRecord] = []
-    launched = 0
+    idle: list[_Worker] = []
+    busy: list[_Worker] = []
 
-    def launch(task: SupervisedTask, attempt: int) -> None:
-        nonlocal launched
-        recv_end, send_end = ctx.Pipe(duplex=False)
+    def spawn() -> _Worker:
+        parent_end, child_end = ctx.Pipe()
         process = ctx.Process(
-            target=_supervised_entry,
-            args=(
-                send_end,
-                task.benchmark,
-                task.machine,
-                task.nprocs,
-                task.config,
-                policy.heartbeat_interval_s,
-            ),
-            daemon=True,
+            target=_worker, args=(child_end, parent_end, interval), daemon=True
         )
         process.start()
-        send_end.close()
-        running.append(_Worker(task, attempt, process, recv_end))
-        launched += 1
+        child_end.close()
+        return _Worker(process, parent_end)
 
-    def reap(worker: _Worker, kill: bool = False) -> None:
-        running.remove(worker)
-        if kill and worker.process.is_alive():
-            worker.process.terminate()
-            worker.process.join(timeout=2.0)
-            if worker.process.is_alive():
-                worker.process.kill()
-        worker.process.join(timeout=5.0)
-        worker.conn.close()
-        worker.process.close()
-
-    def failed(worker: _Worker, failure: AttemptFailure, kill: bool = False) -> None:
-        nonlocal tie
-        reap(worker, kill=kill)
-        attempts = history.setdefault(worker.task.key, [])
+    def failed(worker: _Worker, failure: AttemptFailure) -> PoisonRecord | None:
+        """Retire or keep the worker; requeue the cell or poison it."""
+        task = worker.task
+        busy.remove(worker)
+        if failure.kind == "error":
+            idle.append(worker)
+        else:
+            worker.retire(kill=True)
+        attempts = history.setdefault(task.key, [])
         attempts.append(failure)
         if len(attempts) >= policy.max_failures:
-            poisons.append(
-                PoisonRecord(
-                    key=worker.task.key,
-                    benchmark=worker.task.benchmark,
-                    machine=worker.task.machine,
-                    nprocs=worker.task.nprocs,
-                    attempts=tuple(attempts),
-                )
+            return PoisonRecord(
+                key=task.key,
+                benchmark=task.benchmark,
+                machine=task.machine,
+                nprocs=task.nprocs,
+                attempts=tuple(attempts),
             )
-            return
         delay = backoff_delay(
-            worker.task.key,
-            len(attempts),
-            policy.backoff_base_s,
-            policy.backoff_cap_s,
+            task.key, len(attempts), policy.backoff_base_s, policy.backoff_cap_s
         )
-        tie += 1
-        heapq.heappush(
-            delayed, (_now() + delay, tie, worker.task, worker.attempt + 1)
-        )
+        heapq.heappush(delayed, (_now() + delay, next(tie), task))
+        return None
 
-    def succeeded(worker: _Worker, payload: dict[str, Any]) -> None:
-        reap(worker)
-        results[worker.task.key] = payload
-
-    while queue or delayed or running:
-        now = _now()
-        while delayed and delayed[0][0] <= now:
-            _, _, task, attempt = heapq.heappop(delayed)
-            queue.append((task, attempt))
-        while queue and len(running) < jobs:
-            task, attempt = queue.popleft()
-            launch(task, attempt)
-        if not running:
-            if delayed:
+    try:
+        while queue or delayed or busy:
+            now = _now()
+            while delayed and delayed[0][0] <= now:
+                queue.append(heapq.heappop(delayed)[2])
+            while queue and len(busy) < jobs:
+                worker = idle.pop() if idle else spawn()
+                worker.assign(queue.popleft())
+                busy.append(worker)
+            if not busy:
                 time.sleep(max(0.0, delayed[0][0] - _now()))
-            continue
-
-        # sleep until the earliest supervision event can possibly fire
-        deadlines: list[float] = []
-        for w in running:
-            if policy.deadline_s is not None:
-                deadlines.append(w.started + policy.deadline_s)
-            if policy.heartbeat_timeout_s is not None:
-                deadlines.append(w.last_beat + policy.heartbeat_timeout_s)
-        if delayed and len(running) < jobs:
-            deadlines.append(delayed[0][0])
-        timeout = max(0.0, min(deadlines) - _now()) if deadlines else None
-        waitables: list[Any] = [w.conn for w in running]
-        waitables += [w.process.sentinel for w in running]
-        _connection_wait(waitables, timeout)
-
-        now = _now()
-        for worker in list(running):
-            resolved = False
-            eof = False
-            try:
-                while worker.conn.poll():
-                    message = worker.conn.recv()
-                    if message[0] == "beat":
-                        worker.last_beat = now
-                    elif message[0] == "ok":
-                        payload = message[1]
-                        problem = _validate_payload(payload)
-                        if problem is None:
-                            succeeded(worker, payload)
-                        else:
-                            failed(
-                                worker,
-                                AttemptFailure(
-                                    kind="corrupt-return",
-                                    message=problem,
-                                    elapsed_s=now - worker.started,
-                                ),
-                                kill=True,
-                            )
-                        resolved = True
-                        break
-                    else:  # ("err", type-name, message, traceback)
-                        failed(
-                            worker,
-                            AttemptFailure(
-                                kind="error",
-                                message=f"{message[1]}: {message[2]}",
-                                worker_traceback=message[3],
-                                elapsed_s=now - worker.started,
-                            ),
-                            kill=True,
-                        )
-                        resolved = True
-                        break
-            except (EOFError, OSError):
-                eof = True
-            if resolved:
                 continue
-            if eof or not worker.process.is_alive():
-                worker.process.join(timeout=5.0)
-                code = worker.process.exitcode
-                failed(
-                    worker,
-                    AttemptFailure(
-                        kind="crash",
-                        message=(
-                            f"worker exited with code {code} before "
-                            "returning a result"
-                        ),
-                        elapsed_s=now - worker.started,
-                    ),
-                )
-                continue
-            if policy.deadline_s is not None and now - worker.started > policy.deadline_s:
-                failed(
-                    worker,
-                    AttemptFailure(
-                        kind="deadline",
-                        message=(
-                            f"attempt exceeded its {policy.deadline_s:g}s "
-                            "wall-clock deadline"
-                        ),
-                        elapsed_s=now - worker.started,
-                    ),
-                    kill=True,
-                )
-                continue
-            if (
-                policy.heartbeat_timeout_s is not None
-                and now - worker.last_beat > policy.heartbeat_timeout_s
-            ):
-                failed(
-                    worker,
-                    AttemptFailure(
-                        kind="heartbeat-lost",
-                        # the message lands in exported result trees, so it
-                        # must not embed the measured (wall-clock) silence;
-                        # elapsed_s carries the timing for local diagnostics
-                        message=(
-                            "heartbeat silence exceeded the "
-                            f"{policy.heartbeat_timeout_s:g}s threshold"
-                        ),
-                        elapsed_s=now - worker.started,
-                    ),
-                    kill=True,
-                )
 
-    poisons.sort(key=lambda p: (p.benchmark, p.machine, p.nprocs))
-    return SupervisedRun(
-        results=results, poisoned=tuple(poisons), attempts=launched
-    )
+            # sleep until the earliest supervision event can possibly fire
+            wake: list[float] = []
+            for w in busy:
+                if policy.deadline_s is not None:
+                    wake.append(w.started + policy.deadline_s)
+                if policy.heartbeat_timeout_s is not None:
+                    wake.append(w.last_beat + policy.heartbeat_timeout_s)
+            if delayed and len(busy) < jobs:
+                wake.append(delayed[0][0])
+            timeout = max(0.0, min(wake) - _now()) if wake else None
+            waitables: list[Any] = [w.conn for w in busy]
+            waitables += [w.process.sentinel for w in busy]
+            _connection_wait(waitables, timeout)
+
+            for worker in list(busy):
+                outcome = _outcome(worker, policy)
+                if outcome is None:
+                    continue
+                if isinstance(outcome, AttemptFailure):
+                    record = failed(worker, outcome)
+                    if record is not None:
+                        yield record
+                    continue
+                busy.remove(worker)
+                idle.append(worker)
+                yield worker.task.key, outcome
+    finally:
+        for worker in idle:
+            worker.retire(kill=False)
+        for worker in busy:
+            worker.retire(kill=True)

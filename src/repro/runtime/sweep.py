@@ -5,7 +5,7 @@ The paper defines a system's b_eff_io as the maximum over partitions
 of one machine, and Table 1 reports b_eff the same way.  Such a sweep
 is a one-machine grid, so :func:`run_sweep` is a thin wrapper over
 :func:`repro.runtime.scheduler.run_grid`, which owns store serving,
-dispatch, pool or supervised execution, retries and the per-cell
+dispatch, in-process or worker execution, retries and the per-cell
 journal writes.  This module adds the sweep journal's start, check and
 replay for ``resume=True`` (the journal and the benchmark adapters
 live in :mod:`repro.runtime.journal` and :mod:`repro.runtime.spec`

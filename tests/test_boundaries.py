@@ -118,3 +118,40 @@ class TestOversizeRequests:
         world.run(program)
         assert fs.total_dirty == 0
         assert fs.bytes_to_disk >= 200 * MB - 64 * MB
+
+
+class TestExecutorFlagBounds:
+    """Invalid executor flags are usage errors on every CLI: exit 2 with
+    one ``error:`` line, never a traceback, and nothing runs."""
+
+    CLIS = {
+        "repro": ["sweep-grid", "--machines", "t3e", "--benchmarks", "b_eff",
+                  "--partitions", "2"],
+        "repro-beff": ["--machine", "t3e", "--partitions", "2",
+                       "--backend", "analytic"],
+        "repro-beffio": ["--machine", "t3e", "--partitions", "2", "--T", "0.5",
+                         "--types", "0"],
+    }
+
+    @pytest.mark.parametrize("cli", sorted(CLIS))
+    @pytest.mark.parametrize("flags, reason", [
+        (["--max-failures", "0"], "max_failures"),
+        (["--deadline", "0"], "deadline_s"),
+        (["--heartbeat-timeout", "0.01"], "heartbeat_timeout_s"),
+        (["--jobs", "0"], "jobs"),
+        (["--retries", "-1"], "retries"),
+        (["--backoff", "-1"], "backoff"),
+    ])
+    def test_rejected_with_exit_2(self, cli, flags, reason, capsys):
+        from repro.cli import main_beff, main_beffio, main_repro
+
+        main = {"repro": main_repro, "repro-beff": main_beff,
+                "repro-beffio": main_beffio}[cli]
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.CLIS[cli] + flags)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and reason in errors[0]
+        assert "Traceback" not in captured.err

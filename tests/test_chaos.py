@@ -297,6 +297,31 @@ class TestHangAndCrashCampaigns:
         assert out.cells == ()
 
 
+class TestSupervisedCellsLand:
+    def test_each_cell_is_stored_and_journaled_as_it_lands(
+        self, monkeypatch, tmp_path
+    ):
+        """A supervised grid killed after its first cell keeps that cell
+        in the store and the journal, and runs nothing after it."""
+        from repro.runtime.scheduler import CRASH_AFTER_ENV
+
+        chaos_dir = tmp_path / "chaos"
+        monkeypatch.setenv(chaos.ENV_DIR, str(chaos_dir))
+        # armed, so every executed cell is counted; ordinal 99 never fires
+        monkeypatch.setenv(chaos.ENV_CRASH, "99")
+        monkeypatch.setenv(CRASH_AFTER_ENV, "1")
+        store = RunStore(tmp_path / "store")
+        root = tmp_path / "journals"
+        specs = _grid(machines=("t3e",), partitions=(2, 4, 8, 16))
+        with pytest.raises(RuntimeError, match="injected sweep crash"):
+            run_grid(specs, store=store, journal_root=root, supervision=POLICY)
+        assert (chaos_dir / "cells.count").read_text() == "1"
+        (landed,) = store.keys()
+        spec = next(s for s in specs if s.fingerprint() == landed)
+        journal = SweepJournal(root / "b_eff__t3e")
+        assert list(journal.completed()) == [spec.nprocs]
+
+
 class TestStorePoisonSidecar:
     def test_record_read_list_and_heal_on_put(self, tmp_path):
         from repro.runtime.envelope import envelope_for

@@ -79,26 +79,6 @@ class TestCostModel:
         long = model.cost(run_spec("b_eff_io", "sp", 2, BeffIOConfig(T=20.0)))
         assert long == pytest.approx(10 * short)
 
-    def test_calibrate_fits_the_measured_exponent(self, tmp_path):
-        # synthetic trajectory: wall ~ procs^2 exactly
-        payload = {"rounds": [
-            {"procs": 8, "incremental_wall_s": 64.0},
-            {"procs": 2, "incremental_wall_s": 4.0},
-        ]}
-        (tmp_path / "BENCH_fluid.json").write_text(json.dumps(payload))
-        model = CostModel.calibrate(tmp_path)
-        assert model.exponent == pytest.approx(2.0)
-
-    def test_calibrate_defaults_without_data(self, tmp_path):
-        assert CostModel.calibrate(tmp_path).exponent == CostModel().exponent
-        (tmp_path / "BENCH_fluid.json").write_text("{broken")
-        assert CostModel.calibrate(tmp_path).exponent == CostModel().exponent
-
-    def test_calibrate_from_committed_baseline(self):
-        # the repo's own BENCH_fluid.json yields a sane super-linear fit
-        model = CostModel.calibrate("benchmarks/results")
-        assert 0.5 <= model.exponent <= 3.0
-
 
 class TestPlanSchedule:
     SKEWED = [5.0] + [1.0] * 8  # one big cell among small ones
@@ -357,6 +337,29 @@ class TestBrokenPoolRecovery:
         assert out.fresh == len(specs)
         for a, b in zip(out.cells[: len(specs)], out.cells[len(specs):]):
             assert a.envelope is b.envelope
+
+
+class TestMultiprocessWorkerError:
+    """Unsupervised ``jobs > 1`` runs go through the supervised executor,
+    yet a cell that exhausts its retries still raises the one worker
+    error with the cell's full identity."""
+
+    def test_poisoned_cell_raises_grid_worker_error(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHAOS_POISON", "b_eff:t3e:4")
+        specs = expand_grid(["t3e"], ["b_eff"], [2, 4], {"b_eff": CFG})
+        poisoned = next(s for s in specs if s.nprocs == 4)
+        with pytest.raises(GridWorkerError) as err:
+            run_grid(specs, jobs=2, retries=1)
+        exc = err.value
+        text = str(exc)
+        assert "b_eff" in text and "nprocs=4" in text and "'t3e'" in text
+        assert poisoned.fingerprint()[:12] in text
+        assert "after 2 attempt(s)" in text
+        assert "ChaosError" in text
+        assert "chaos.py:" in text  # the failing frame, from the worker
+        assert exc.worker_traceback
+        assert exc.attempts == 2
+        assert (exc.benchmark, exc.machine, exc.nprocs) == ("b_eff", "t3e", 4)
 
 
 class TestWorkerErrorIdentity:

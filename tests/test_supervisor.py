@@ -140,18 +140,44 @@ class TestProvenanceTypes:
         assert fast.to_dict()["attempts"][0]["elapsed_s"] == 0.25
 
 
+def _drain(tasks, policy, jobs=1):
+    """Every result and poison record one supervised campaign yields."""
+    results, poisoned = {}, []
+    for item in supervise(tasks, policy, jobs=jobs):
+        if isinstance(item, PoisonRecord):
+            poisoned.append(item)
+        else:
+            key, payload = item
+            results[key] = payload
+    return results, poisoned
+
+
+def _count(chaos_dir, counter="cells"):
+    """Attempts the campaign-wide chaos counter saw (0 if none ran)."""
+    path = chaos_dir / f"{counter}.count"
+    return int(path.read_text()) if path.exists() else 0
+
+
+@pytest.fixture
+def counted(monkeypatch, tmp_path):
+    """Count every executed cell attempt; the armed crash never fires."""
+    monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path))
+    monkeypatch.setenv("REPRO_CHAOS_CRASH", "99")
+    return tmp_path
+
+
 class TestSupervise:
-    def test_clean_run_returns_validated_payloads(self):
+    def test_clean_run_returns_validated_payloads(self, counted):
         from repro.runtime.envelope import ResultEnvelope
         from repro.runtime.spec import run_spec
 
         spec = run_spec("b_eff", "t3e", 2, CFG)
-        run = supervise(
+        results, poisoned = _drain(
             [_task(key=spec.fingerprint())], SupervisionPolicy(max_failures=1)
         )
-        assert run.poisoned == ()
-        assert run.attempts == 1
-        envelope = ResultEnvelope.from_dict(run.results[spec.fingerprint()])
+        assert poisoned == []
+        assert _count(counted) == 1
+        envelope = ResultEnvelope.from_dict(results[spec.fingerprint()])
         assert envelope.values["b_eff"] > 0
 
     def test_duplicate_keys_are_rejected(self):
@@ -162,41 +188,41 @@ class TestSupervise:
         with pytest.raises(ValueError, match="jobs"):
             supervise([_task()], SupervisionPolicy(), jobs=0)
 
-    def test_error_poisons_after_max_failures(self, monkeypatch):
+    def test_error_poisons_after_max_failures(self, counted):
         # an unknown machine key raises inside the worker every time
-        run = supervise(
+        results, poisoned = _drain(
             [_task(machine="no-such-machine")],
             SupervisionPolicy(max_failures=2),
         )
-        assert run.results == {}
-        assert len(run.poisoned) == 1
-        record = run.poisoned[0]
+        assert results == {}
+        assert len(poisoned) == 1
+        record = poisoned[0]
         assert [a.kind for a in record.attempts] == ["error", "error"]
         assert record.machine == "no-such-machine"
-        assert run.attempts == 2
+        assert _count(counted) == 2
         assert "Traceback" in record.last.worker_traceback
 
     def test_deadline_kills_and_records_kind(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_CHAOS_HANG", "1,2")
-        run = supervise(
+        _, poisoned = _drain(
             [_task()],
             SupervisionPolicy(
                 deadline_s=0.5, heartbeat_interval_s=0.05, max_failures=2
             ),
         )
-        assert len(run.poisoned) == 1
-        kinds = {a.kind for a in run.poisoned[0].attempts}
+        assert len(poisoned) == 1
+        kinds = {a.kind for a in poisoned[0].attempts}
         # the hang fires before the heartbeat thread starts, so with no
         # heartbeat timeout configured only the deadline can catch it
         assert kinds == {"deadline"}
-        for attempt in run.poisoned[0].attempts:
+        for attempt in poisoned[0].attempts:
             assert attempt.elapsed_s >= 0.5
 
     def test_heartbeat_loss_kills_faster_than_deadline(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_CHAOS_HANG", "1")
-        run = supervise(
+        _, poisoned = _drain(
             [_task()],
             SupervisionPolicy(
                 deadline_s=30.0,
@@ -205,39 +231,41 @@ class TestSupervise:
                 max_failures=1,
             ),
         )
-        assert [a.kind for a in run.poisoned[0].attempts] == ["heartbeat-lost"]
-        assert run.poisoned[0].attempts[0].elapsed_s < 10.0
+        assert [a.kind for a in poisoned[0].attempts] == ["heartbeat-lost"]
+        assert poisoned[0].attempts[0].elapsed_s < 10.0
         # the message lands in exported result trees, so it must name
         # only the configured threshold, never the measured silence
-        assert run.poisoned[0].attempts[0].message == (
+        assert poisoned[0].attempts[0].message == (
             "heartbeat silence exceeded the 0.5s threshold"
         )
 
     def test_crash_is_retried_then_succeeds(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_CHAOS_CRASH", "1")
-        run = supervise([_task()], SupervisionPolicy(max_failures=3))
-        assert run.poisoned == ()
-        assert run.attempts == 2
-        assert len(run.results) == 1
+        results, poisoned = _drain([_task()], SupervisionPolicy(max_failures=3))
+        assert poisoned == []
+        assert _count(tmp_path) == 2
+        assert len(results) == 1
 
     def test_corrupt_return_is_detected_and_retried(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_CHAOS_CORRUPT", "1")
-        run = supervise([_task()], SupervisionPolicy(max_failures=3))
-        assert run.poisoned == ()
-        assert run.attempts == 2
+        _, poisoned = _drain([_task()], SupervisionPolicy(max_failures=3))
+        assert poisoned == []
+        assert _count(tmp_path, "returns") == 2
 
     def test_poisons_sorted_by_cell_identity(self, monkeypatch):
-        run = supervise(
-            [
-                _task(key=FP_B, machine="zz-missing", nprocs=4),
-                _task(key=FP_A, machine="aa-missing", nprocs=2),
-            ],
-            SupervisionPolicy(max_failures=1),
+        # poisons are yielded as they land; the grid outcome sorts them
+        from repro.runtime.scheduler import run_grid
+        from repro.runtime.spec import run_spec
+
+        monkeypatch.setenv("REPRO_CHAOS_POISON", "b_eff:t3e:4,b_eff:sr2201:2")
+        outcome = run_grid(
+            [run_spec("b_eff", "t3e", 4, CFG), run_spec("b_eff", "sr2201", 2, CFG)],
             jobs=2,
+            supervision=SupervisionPolicy(max_failures=1),
         )
-        assert [p.machine for p in run.poisoned] == ["aa-missing", "zz-missing"]
+        assert [p.machine for p in outcome.poisoned] == ["sr2201", "t3e"]
 
     def test_parallel_supervised_matches_serial(self):
         from repro.runtime.spec import run_spec
@@ -246,6 +274,54 @@ class TestSupervise:
         tasks = [
             _task(key=s.fingerprint(), nprocs=s.nprocs) for s in specs
         ]
-        serial = supervise(tasks, SupervisionPolicy(max_failures=1), jobs=1)
-        parallel = supervise(tasks, SupervisionPolicy(max_failures=1), jobs=2)
-        assert serial.results == parallel.results
+        serial, _ = _drain(tasks, SupervisionPolicy(max_failures=1), jobs=1)
+        parallel, _ = _drain(tasks, SupervisionPolicy(max_failures=1), jobs=2)
+        assert serial == parallel
+
+
+class TestWorkerReuse:
+    """Workers are long-lived: they take cell after cell, and only a
+    failure that leaves the process suspect replaces it."""
+
+    @pytest.fixture
+    def pid_log(self, monkeypatch, tmp_path):
+        import os
+
+        import repro.runtime.supervisor as supervisor
+
+        real = supervisor.run_cell
+        log = tmp_path / "pids"
+
+        # workers are forked, so they run the patched cell body
+        def logged(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(supervisor, "run_cell", logged)
+        return lambda: log.read_text().split()
+
+    def test_one_worker_runs_every_cell(self, pid_log):
+        import os
+
+        tasks = [_task(key=f"{n:064x}", nprocs=n) for n in (2, 4, 8)]
+        results, _ = _drain(tasks, SupervisionPolicy(max_failures=1))
+        assert len(results) == 3
+        pids = pid_log()
+        assert len(pids) == 3 and len(set(pids)) == 1
+        assert pids[0] != str(os.getpid())
+
+    def test_an_error_keeps_the_worker(self, pid_log):
+        tasks = [_task(key=FP_A, machine="no-such-machine"), _task(key=FP_B)]
+        results, poisoned = _drain(tasks, SupervisionPolicy(max_failures=1))
+        assert list(results) == [FP_B] and len(poisoned) == 1
+        assert len(set(pid_log())) == 1
+
+    def test_a_crash_replaces_the_worker(self, pid_log, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path / "chaos"))
+        monkeypatch.setenv("REPRO_CHAOS_CRASH", "1")
+        tasks = [_task(key=FP_A), _task(key=FP_B, nprocs=4)]
+        results, _ = _drain(tasks, SupervisionPolicy(max_failures=2))
+        assert sorted(results) == [FP_A, FP_B]
+        pids = pid_log()
+        assert len(pids) == 3 and len(set(pids)) == 2
